@@ -1,15 +1,13 @@
 """Command-line surface: evaluation, oracle self-checks, fixture synthesis,
 and micro-benchmarks.
 
-Exit codes: 0 success, 1 I/O failure, 2 malformed input. `LPCORE_THREADS`
-caps evaluation parallelism; results never depend on the thread count.
+Exit codes: 0 success, 1 I/O failure, 2 malformed input or flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -48,17 +46,6 @@ class EvalReport:
         return total
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("LPCORE_THREADS", "")
-    try:
-        value = int(raw)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _format_report(report: EvalReport, timestamp: bool) -> str:
     total = report.totals
     lines = [f"format={REPORT_FORMAT}"]
@@ -89,7 +76,6 @@ def cmd_evaluate(
     ignore_unidentifiable: bool = False,
     report_path=None,
     timestamp: bool = True,
-    max_workers: int | None = None,
     out=None,
 ) -> EvalReport:
     """Score predictions against ground truth; prints a per-image table."""
@@ -97,11 +83,7 @@ def cmd_evaluate(
     gts = dataio.parse_predictions(gt_path)
     preds = dataio.parse_predictions(pred_path)
     per_image = match_records(
-        gts,
-        preds,
-        iou_thresh=iou_thresh,
-        ignore_unidentifiable=ignore_unidentifiable,
-        max_workers=max_workers if max_workers is not None else _max_workers(),
+        gts, preds, iou_thresh=iou_thresh, ignore_unidentifiable=ignore_unidentifiable
     )
     recall, precision, fscore = aggregate([c for _, c in per_image])
     report = EvalReport(
@@ -369,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
     p_eval.add_argument("--gt", required=True, help="ground-truth record file")
     p_eval.add_argument("--pred", required=True, help="prediction record file")
-    p_eval.add_argument("--iou", type=float, default=0.6, help="IoU threshold (strict >)")
+    p_eval.add_argument("--iou", type=float, default=0.6, help="IoU threshold in [0, 1] (strict >)")
     p_eval.add_argument(
         "--ignore-unidentifiable",
         action="store_true",
@@ -395,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "evaluate" and not 0.0 <= args.iou <= 1.0:
+        parser.error(f"argument --iou: must be in [0, 1], got {args.iou}")
     try:
         if args.command == "evaluate":
             cmd_evaluate(

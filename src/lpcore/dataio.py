@@ -127,6 +127,8 @@ def parse_predictions(path) -> list[SpottingRecord]:
                 nums = [float(v) for v in fields[2:7]]
             except ValueError:
                 raise ParseError("non-numeric box field", path=str(path), line=no)
+            if score is not None and not 0.0 <= score <= 1.0:
+                raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
             try:
                 box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
             except ValueError as exc:

@@ -18,6 +18,8 @@ QUAD_AREA_EPS = 1e-6
 
 _QUARTER_PI = math.pi / 4
 _HALF_PI = math.pi / 2
+# quad_to_rbox moves angles this close below +pi/4 to -pi/4 (w and h swapped).
+_ANGLE_SNAP = 1e-12
 
 Point = tuple[float, float]
 
@@ -175,18 +177,31 @@ def quad_to_rbox(q: Quad) -> RotatedBox:
             cy = cu * uy + cv * ux
             best = (area, cx, cy, w, h, math.atan2(uy, ux))
     assert best is not None
-    return RotatedBox(best[1], best[2], best[3], best[4], best[5])
+    box = RotatedBox(best[1], best[2], best[3], best[4], best[5])
+    # A rectangle at exactly -pi/4 can read as just under +pi/4 after rounding;
+    # both name the same rectangle, and -pi/4 is the closed end of the range.
+    if box.theta >= _QUARTER_PI - _ANGLE_SNAP:
+        return RotatedBox(box.cx, box.cy, box.h, box.w, -_QUARTER_PI)
+    return box
 
 
 def rbox_to_quad(b: RotatedBox) -> Quad:
     """Corners counter-clockwise starting at box-local (-w/2, -h/2)."""
+    return Quad(_corners(b, 0.0, 0.0))
+
+
+def _corners(b: RotatedBox, ox: float, oy: float) -> list[Point]:
+    """Unvalidated corners of ``b`` relative to (ox, oy), in rbox_to_quad's order."""
     c, s = math.cos(b.theta), math.sin(b.theta)
     hw, hh = b.w / 2.0, b.h / 2.0
-    pts = tuple(
-        (b.cx + lx * c - ly * s, b.cy + lx * s + ly * c)
-        for lx, ly in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-    )
-    return Quad(pts)
+    x, y = b.cx - ox, b.cy - oy
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    return [
+        (x - wc + hs, y - ws - hc),
+        (x + wc + hs, y + ws - hc),
+        (x + wc - hs, y + ws + hc),
+        (x - wc - hs, y - ws + hc),
+    ]
 
 
 def _clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
@@ -218,13 +233,19 @@ def _clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
 
 
 def rotated_iou(a: RotatedBox, b: RotatedBox) -> float:
-    """Exact intersection-over-union via convex polygon clipping."""
+    """Exact intersection-over-union via convex polygon clipping.
+
+    Disjoint circumcircles give exactly 0.0. Clipping runs relative to one
+    box's centre, so precision does not depend on the distance from the origin.
+    """
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    reach = 0.5 * (math.hypot(a.w, a.h) + math.hypot(b.w, b.h))
+    if dx * dx + dy * dy > reach * reach:
+        return 0.0
     # canonical argument order makes the result exactly symmetric
     if (b.cx, b.cy, b.w, b.h, b.theta) < (a.cx, a.cy, a.w, a.h, a.theta):
         a, b = b, a
-    ca = list(rbox_to_quad(a).vertices)
-    cb = list(rbox_to_quad(b).vertices)
-    inter_poly = _clip_polygon(ca, cb)
+    inter_poly = _clip_polygon(_corners(a, a.cx, a.cy), _corners(b, a.cx, a.cy))
     inter = abs(_shoelace(inter_poly)) if len(inter_poly) >= 3 else 0.0
     union = a.area + b.area - inter
     if inter <= 0.0 or union <= 0.0:

@@ -7,12 +7,11 @@ transcripts match exactly. Totals then feed recall / precision / F-score.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ctc import exact_match
 from .errors import ImageIdMismatchError
-from .geometry import RotatedBox, axis_aligned_iou, rotated_iou
+from .geometry import RotatedBox, rotated_iou
 
 DEFAULT_IOU_THRESH = 0.6
 UNIDENTIFIABLE_CHAR = "*"
@@ -64,7 +63,6 @@ def match_image(
     pred: SpottingRecord,
     iou_thresh: float = DEFAULT_IOU_THRESH,
     ignore_unidentifiable: bool = False,
-    axis_aligned: bool = False,
 ) -> SpottingCounts:
     """Greedy one-to-one matching for a single image.
 
@@ -78,7 +76,6 @@ def match_image(
     """
     if gt.image_id != pred.image_id:
         raise ImageIdMismatchError(f"image ids differ: {gt.image_id!r} vs {pred.image_id!r}")
-    iou_fn = axis_aligned_iou if axis_aligned else rotated_iou
     order = sorted(range(len(pred.items)), key=lambda i: -(pred.items[i].score or 0.0))
     taken = [False] * len(gt.items)
     matched_tp = [False] * len(gt.items)
@@ -91,7 +88,7 @@ def match_image(
         for j, g in enumerate(gt.items):
             if taken[j]:
                 continue
-            v = iou_fn(p.box, g.box)
+            v = rotated_iou(p.box, g.box)
             if v > best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0 and best_iou > iou_thresh:
@@ -134,26 +131,19 @@ def match_records(
     preds: list[SpottingRecord],
     iou_thresh: float = DEFAULT_IOU_THRESH,
     ignore_unidentifiable: bool = False,
-    axis_aligned: bool = False,
-    max_workers: int | None = None,
 ) -> list[tuple[str, SpottingCounts]]:
     """Match whole datasets, pairing records by image id.
 
     Images present on only one side are scored against an empty record.
-    The result is sorted by image id and independent of thread count.
+    The result is sorted by image id.
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
     gt_by_id = {r.image_id: r for r in gts}
     pred_by_id = {r.image_id: r for r in preds}
-    ids = sorted(set(gt_by_id) | set(pred_by_id))
-
-    def one(image_id: str) -> SpottingCounts:
+    out = []
+    for image_id in sorted(set(gt_by_id) | set(pred_by_id)):
         g = gt_by_id.get(image_id) or SpottingRecord(image_id)
         p = pred_by_id.get(image_id) or SpottingRecord(image_id)
-        return match_image(g, p, iou_thresh, ignore_unidentifiable, axis_aligned)
-
-    if max_workers is not None and max_workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, ids))
-    else:
-        results = [one(i) for i in ids]
-    return list(zip(ids, results))
+        out.append((image_id, match_image(g, p, iou_thresh, ignore_unidentifiable)))
+    return out

@@ -1,6 +1,8 @@
 import io
 import math
 
+import pytest
+
 import lpcore.cli as cli
 from lpcore.dataio import write_predictions
 from lpcore.geometry import RotatedBox
@@ -110,15 +112,6 @@ class TestEvaluate:
         )
         assert rc == 0
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        gt_path, pred_path = cli.cmd_synth(6, 8, 0.25, tmp_path / "fix")
-        outs = []
-        for workers in (1, 4):
-            buf = io.StringIO()
-            cli.cmd_evaluate(gt_path, pred_path, max_workers=workers, out=buf)
-            outs.append(buf.getvalue())
-        assert outs[0] == outs[1]
-
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -134,6 +127,25 @@ class TestMainExitCodes:
         rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("iou", ["nan", "-3", "1.5", "abc"])
+    def test_iou_outside_unit_interval_exits_2(self, tmp_path, capsys, iou):
+        gt_path, pred_path = hand_fixture(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--iou", iou])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --iou:" in err and iou in err
+
+    @pytest.mark.parametrize("score", ["nan", "7.5", "-0.1", "inf"])
+    def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
+        gt_path, _ = hand_fixture(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"img,0.9,0,0,1,1,0,京A11111\nimg,{score},10,0,1,1,0,京B22222\n", "utf-8")
+        rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: score '{score}' not in [0, 1]" in err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         gt_path, _ = hand_fixture(tmp_path)
@@ -206,13 +218,3 @@ class TestBench:
     def test_multiple_sizes(self):
         rows = cli.cmd_bench([2, 4], out=io.StringIO())
         assert len(rows) == 2 * len(cli.BENCH_OPS)
-
-
-class TestThreadEnv:
-    def test_env_cap_parsing(self, monkeypatch):
-        monkeypatch.setenv("LPCORE_THREADS", "2")
-        assert cli._max_workers() == 2
-        monkeypatch.setenv("LPCORE_THREADS", "bogus")
-        assert cli._max_workers() >= 1
-        monkeypatch.delenv("LPCORE_THREADS")
-        assert cli._max_workers() >= 1

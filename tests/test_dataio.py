@@ -133,6 +133,19 @@ class TestPredictionFiles:
             parse_predictions(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("score", ["nan", "7.5", "-0.1", "inf", "-inf"])
+    def test_score_outside_unit_interval_rejected(self, tmp_path, score):
+        path = tmp_path / "pred.txt"
+        path.write_text(f"img,0.5,1,1,2,1,0,A\nimg,{score},10,10,5,2,0,京A12345\n", "utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_predictions(path)
+        assert err.value.line == 2
+
+    def test_score_bounds_inclusive(self, tmp_path):
+        path = tmp_path / "pred.txt"
+        path.write_text("img,0,1,1,2,1,0,A\nimg,1.000000,10,10,5,2,0,B\n", "utf-8")
+        assert [it.score for it in parse_predictions(path)[0].items] == [0.0, 1.0]
+
     def test_field_count_enforced(self, tmp_path):
         path = tmp_path / "pred.txt"
         path.write_text("img,0.9,10,10,5,2,0\n", encoding="utf-8")

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpcore.cli import iou_box_pairs
 from lpcore.errors import DegenerateQuadError
 from lpcore.geometry import (
     Quad,
     RotatedBox,
     ScoredBox,
+    _clip_polygon,
+    _shoelace,
     axis_aligned_iou,
     quad_to_rbox,
     rbox_to_quad,
@@ -140,6 +143,15 @@ class TestRboxToQuad:
         assert abs(back.h - b.h) < 1e-9
         assert abs(back.theta - b.theta) < 1e-9
 
+    def test_roundtrip_at_lower_angle_bound(self):
+        rng = np.random.default_rng(3)
+        sides = [(13.628252472628654, 17.625)] + [tuple(rng.uniform(0.5, 20.0, size=2)) for _ in range(200)]
+        for w, h in sides:
+            b = RotatedBox(0.0, 0.0, float(w), float(h), -QUARTER_PI)
+            back = quad_to_rbox(rbox_to_quad(b))
+            assert abs(back.theta + QUARTER_PI) < 1e-9
+            assert abs(back.w - b.w) < 1e-9 and abs(back.h - b.h) < 1e-9
+
 
 class TestRotatedIou:
     def test_identical_boxes(self):
@@ -209,6 +221,90 @@ class TestRotatedIou:
         assert v == 0.6
 
 
+def quad_reference_iou(a, b):
+    """IoU by clipping validated quads from rbox_to_quad, both taken relative
+    to a's centre; no circumcircle early-out and no argument swap."""
+
+    def local(r):
+        moved = RotatedBox(r.cx - a.cx, r.cy - a.cy, r.w, r.h, r.theta)
+        return list(rbox_to_quad(moved).vertices)
+
+    poly = _clip_polygon(local(a), local(b))
+    inter = abs(_shoelace(poly)) if len(poly) >= 3 else 0.0
+    union = a.area + b.area - inter
+    return min(inter / union, 1.0) if inter > 0.0 and union > 0.0 else 0.0
+
+
+def wide_range_pairs(n, seed, reach=(-4.0, 4.0)):
+    """Boxes of sizes 1e-3..1e3 with any angle and centres up to 1e6; the
+    second box is offset by `reach` times the first box's scale."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        cx, cy = rng.uniform(-1e6, 1e6, size=2)
+
+        def box(x, y):
+            w, h = scale * rng.uniform(0.1, 10.0, size=2)
+            return RotatedBox(float(x), float(y), float(w), float(h), rng.uniform(-4.0, 4.0))
+
+        a = box(cx, cy)
+        dx, dy = scale * rng.uniform(*reach, size=2)
+        pairs.append((a, box(cx + dx, cy + dy)))
+    return pairs
+
+
+def circumcircles_disjoint(a, b):
+    reach = 0.5 * (math.hypot(a.w, a.h) + math.hypot(b.w, b.h))
+    return math.hypot(b.cx - a.cx, b.cy - a.cy) > reach
+
+
+class TestRotatedIouFastPath:
+    def test_matches_quad_reference(self):
+        pairs = iou_box_pairs(2000) + wide_range_pairs(2000, seed=41)
+        overlapping = 0
+        for a, b in pairs:
+            want = quad_reference_iou(a, b)
+            assert abs(rotated_iou(a, b) - want) <= 1e-12, (a, b)
+            overlapping += want > 0.0
+        assert overlapping > 1000  # the clipping path, not only the early-out
+
+    def test_circumcircle_rejects_are_exact_zero(self):
+        pairs = iou_box_pairs(2000, seed=5) + wide_range_pairs(4000, seed=43, reach=(-12, 12))
+        rejected = [(a, b) for a, b in pairs if circumcircles_disjoint(a, b)]
+        assert len(rejected) > 500
+        for a, b in rejected:
+            assert rotated_iou(a, b) == 0.0
+            assert rotated_iou(b, a) == 0.0
+            assert quad_reference_iou(a, b) == 0.0
+
+    @pytest.mark.parametrize("center", [1e6, 1e8])
+    def test_tiny_box_far_from_origin(self, center):
+        b = RotatedBox(center, center, 1e-2, 5e-3, 0.3)
+        assert rotated_iou(b, b) == pytest.approx(1.0, abs=1e-12)
+        half = RotatedBox(center + 5e-3, center, 1e-2, 5e-3, 0.0)
+        base = RotatedBox(center, center, 1e-2, 5e-3, 0.0)
+        assert rotated_iou(base, half) == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rboxes(min_side=0.5),
+        rboxes(min_side=0.5),
+        st.floats(-1e7, 1e7, allow_nan=False),
+        st.floats(-1e7, 1e7, allow_nan=False),
+    )
+    def test_symmetric_bounded_translation_invariant(self, a, b, tx, ty):
+        v = rotated_iou(a, b)
+        assert v == rotated_iou(b, a)
+        assert 0.0 <= v <= 1.0
+
+        def moved(r):
+            return RotatedBox(r.cx + tx, r.cy + ty, r.w, r.h, r.theta)
+
+        # moving to 1e7 rounds each centre by up to 1e-9
+        assert abs(rotated_iou(moved(a), moved(b)) - v) < 1e-6
+
+
 class TestAxisAlignedIou:
     def test_matches_rotated_for_axis_aligned(self):
         a = RotatedBox(0.5, 0.5, 1, 1, 0)
@@ -261,6 +357,17 @@ class TestRotatedNms:
         for i, k1 in enumerate(kept):
             for k2 in kept[i + 1 :]:
                 assert rotated_iou(k1.box, k2.box) <= 0.3
+
+    def test_kept_set_matches_quad_reference(self):
+        rng = np.random.default_rng(29)
+        boxes = [ScoredBox(random_box(rng, span=10.0), float(rng.uniform(0, 1))) for _ in range(300)]
+        order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
+        want = []
+        for i in order:
+            if all(quad_reference_iou(boxes[i].box, k.box) <= 0.3 for k in want):
+                want.append(boxes[i])
+        assert 0 < len(want) < len(boxes) / 2
+        assert rotated_nms(boxes, 0.3) == want
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

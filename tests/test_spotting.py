@@ -179,13 +179,16 @@ class TestMatchRecords:
         results = dict(match_records(gts, preds + [extra]))
         assert results["zz_only_pred"].fp == 1
 
-    def test_sorted_and_thread_invariant(self):
+    def test_sorted_by_image_id(self):
         gts, preds = self.build()
-        serial = match_records(gts, preds, max_workers=1)
-        threaded = match_records(gts, preds, max_workers=4)
-        assert serial == threaded
-        ids = [i for i, _ in serial]
+        ids = [i for i, _ in match_records(gts, preds)]
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("thresh", [float("nan"), -3.0, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, thresh):
+        gts, preds = self.build()
+        with pytest.raises(ValueError):
+            match_records(gts, preds, iou_thresh=thresh)
 
     def test_order_of_input_records_irrelevant(self):
         gts, preds = self.build()
