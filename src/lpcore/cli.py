@@ -80,7 +80,7 @@ def cmd_evaluate(
 ) -> EvalReport:
     """Score predictions against ground truth; prints a per-image table."""
     out = out if out is not None else sys.stdout
-    gts = dataio.parse_predictions(gt_path)
+    gts = dataio.parse_predictions(gt_path, ground_truth=True)
     preds = dataio.parse_predictions(pred_path)
     per_image = match_records(
         gts, preds, iou_thresh=iou_thresh, ignore_unidentifiable=ignore_unidentifiable

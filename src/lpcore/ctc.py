@@ -154,16 +154,22 @@ def ctc_loss(
         skip[2:] = (ext[2:] != BLANK_INDEX) & (ext[2:] != ext[:-2])
 
     neg_inf = -np.inf
+    # Additive masks: 0 where the s-2 -> s (forward) or s+2 -> s (backward)
+    # jump is allowed, -inf where it is not.
+    jump_mask = np.where(skip, 0.0, neg_inf)
+    back_mask = np.full(s_len, neg_inf)
+    back_mask[:-2] = jump_mask[2:]
+
+    # Each pass writes the row it reads into a -inf-padded buffer, so the
+    # one- and two-state shifts of that row are slices of the buffer.
     alpha = np.full((t_len, s_len), neg_inf)
     alpha[0, 0] = emit[0, 0]
     if s_len > 1:
         alpha[0, 1] = emit[0, 1]
+    prev = np.full(s_len + 2, neg_inf)
     for t in range(1, t_len):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([neg_inf], prev))[:s_len]
-        jump = np.concatenate(([neg_inf, neg_inf], prev))[:s_len]
-        jump = np.where(skip, jump, neg_inf)
+        prev[2:] = alpha[t - 1]
+        stay, step, jump = prev[2:], prev[1:-1], prev[:-2] + jump_mask
         alpha[t] = emit[t] + np.logaddexp(np.logaddexp(stay, step), jump)
 
     if s_len > 1:
@@ -176,13 +182,10 @@ def ctc_loss(
     beta[-1, -1] = 0.0
     if s_len > 1:
         beta[-1, -2] = 0.0
+    nxt = np.full(s_len + 2, neg_inf)
     for t in range(t_len - 2, -1, -1):
-        nxt = emit[t + 1] + beta[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [neg_inf]))[:s_len]
-        jump = np.concatenate((nxt[2:], [neg_inf, neg_inf]))[:s_len]
-        allow_jump = np.concatenate((skip[2:], [False, False]))[:s_len]
-        jump = np.where(allow_jump, jump, neg_inf)
+        np.add(emit[t + 1], beta[t + 1], out=nxt[:s_len])
+        stay, step, jump = nxt[:s_len], nxt[1:-1], nxt[2:] + back_mask
         beta[t] = np.logaddexp(np.logaddexp(stay, step), jump)
 
     occupancy = alpha + beta  # (T, S), log posterior mass per lattice state

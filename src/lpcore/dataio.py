@@ -10,6 +10,7 @@ write/parse roundtrip is lossless to 1e-6.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -104,8 +105,11 @@ def write_predictions(path, records: list[SpottingRecord]) -> None:
                 )
 
 
-def parse_predictions(path) -> list[SpottingRecord]:
-    """Read spotting records grouped by image id (first-seen order)."""
+def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
+    """Read spotting records grouped by image id (first-seen order).
+
+    With ground_truth, every score field must be empty.
+    """
     grouped: dict[str, list[SpottingItem]] = {}
     with open(path, encoding="utf-8") as f:
         for no, raw in enumerate(f, start=1):
@@ -122,6 +126,12 @@ def parse_predictions(path) -> list[SpottingRecord]:
             image_id = fields[0]
             if not image_id:
                 raise ParseError("empty image_id", path=str(path), line=no)
+            if ground_truth and fields[1]:
+                raise ParseError(
+                    f"ground-truth score field must be empty, got {fields[1]!r}",
+                    path=str(path),
+                    line=no,
+                )
             try:
                 score = None if fields[1] == "" else float(fields[1])
                 nums = [float(v) for v in fields[2:7]]
@@ -175,11 +185,19 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("tensor name is not valid UTF-8", path=str(path)) from None
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        n_items = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape)
+        # a Python integer product, so take() rejects a hostile shape whose
+        # byte count would wrap around in int64
+        data = take(8 * math.prod(shape))
+        try:
+            arr = np.frombuffer(data, dtype="<f8").reshape(shape)
+        except ValueError as exc:
+            raise ParseError(f"tensor {name!r}: {exc}", path=str(path)) from None
         out[name] = arr.astype(np.float64)
     if pos != len(blob):
         raise ParseError("trailing bytes after last tensor", path=str(path))

@@ -96,28 +96,23 @@ def training_crop_boxes(
 
 
 def _bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample all channels at fractional (x, y) points; zero outside. (C, N)."""
-    _, h, w = data.shape
+    """Sample all channels at fractional (x, y) points; zero outside. (C, N).
+
+    The four corners of every point are read at once from the flattened
+    map; a corner outside the map reads a clipped index with weight zero.
+    """
+    c, h, w = data.shape
     x0 = np.floor(xs)
     y0 = np.floor(ys)
     fx = xs - x0
     fy = ys - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    out = np.zeros((data.shape[0], xs.size))
-    for dy_, dx_, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (0, 1, fx * (1 - fy)),
-        (1, 0, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx_
-        yi = y0 + dy_
-        valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        xi_c = np.clip(xi, 0, w - 1)
-        yi_c = np.clip(yi, 0, h - 1)
-        out += data[:, yi_c, xi_c] * (wgt * valid)
-    return out
+    # corners in the order (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1)
+    xi = x0.astype(np.int64) + np.array([[0], [1], [0], [1]])
+    yi = y0.astype(np.int64) + np.array([[0], [0], [1], [1]])
+    wgt = np.stack(((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy))
+    wgt *= (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+    flat = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+    return np.einsum("ckn,kn->cn", data.reshape(c, h * w)[:, flat], wgt)
 
 
 def bilinear_sample(fm: FeatureMap, x: float, y: float, channel: int) -> float:
@@ -248,14 +243,9 @@ def conv2d_forward(
     weights, bias, k = _check_conv_args(fm, weights, bias, stride, padding)
     oh, ow = _conv_out_dims(fm.height, fm.width, k, stride, padding)
     padded = np.pad(fm.data, ((0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((weights.shape[0], oh, ow))
-    for ki in range(k):
-        for kj in range(k):
-            view = padded[:, ki : ki + stride * (oh - 1) + 1 : stride,
-                          kj : kj + stride * (ow - 1) + 1 : stride]
-            out += np.einsum("oi,ihw->ohw", weights[:, :, ki, kj], view)
-    out += bias[:, None, None]
-    return FeatureMap(out)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    out = np.tensordot(weights, windows[:, ::stride, ::stride], axes=([1, 2, 3], [0, 3, 4]))
+    return FeatureMap(out + bias[:, None, None])
 
 
 def deformable_conv2d_forward(
@@ -283,16 +273,13 @@ def deformable_conv2d_forward(
             f"offsets spatial dims {offsets.height}x{offsets.width} != output {oh}x{ow}"
         )
     oys, oxs = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    out = np.zeros((weights.shape[0], oh * ow))
-    for ki in range(k):
-        for kj in range(k):
-            t = ki * k + kj
-            ys = oys * stride - padding + ki + offsets.data[2 * t]
-            xs = oxs * stride - padding + kj + offsets.data[2 * t + 1]
-            samples = _bilinear_gather(fm.data, xs.ravel(), ys.ravel())
-            out += weights[:, :, ki, kj] @ samples
-    out += bias[:, None]
-    return FeatureMap(out.reshape(weights.shape[0], oh, ow))
+    ki, kj = np.divmod(np.arange(k * k)[:, None, None], k)
+    ys = oys * stride - padding + ki + offsets.data[0::2]
+    xs = oxs * stride - padding + kj + offsets.data[1::2]
+    # (C, k*k, oh*ow) flattens channel-major, matching weights (O, C, k, k)
+    samples = _bilinear_gather(fm.data, xs.ravel(), ys.ravel())
+    out = weights.reshape(weights.shape[0], -1) @ samples.reshape(-1, oh * ow)
+    return FeatureMap((out + bias[:, None]).reshape(weights.shape[0], oh, ow))
 
 
 @dataclass(frozen=True)
@@ -348,17 +335,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _lstm_direction(seq: np.ndarray, p: LstmParams) -> np.ndarray:
     hidden = p.hidden_size
+    projected = seq @ p.w_input.T + p.bias  # input terms of every frame's gates
     h = np.zeros(hidden)
     c = np.zeros(hidden)
     outs = np.zeros((seq.shape[0], hidden))
     for t in range(seq.shape[0]):
-        gates = p.w_input @ seq[t] + p.w_hidden @ h + p.bias
-        i = _sigmoid(gates[:hidden])
-        f = _sigmoid(gates[hidden : 2 * hidden])
+        gates = projected[t] + p.w_hidden @ h
+        act = _sigmoid(gates)
         g = np.tanh(gates[2 * hidden : 3 * hidden])
-        o = _sigmoid(gates[3 * hidden :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        c = act[hidden : 2 * hidden] * c + act[:hidden] * g
+        h = act[3 * hidden :] * np.tanh(c)
         outs[t] = h
     return outs
 

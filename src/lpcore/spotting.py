@@ -126,6 +126,15 @@ def aggregate(counts: list[SpottingCounts]) -> tuple[float, float, float]:
     return recall, precision, fscore
 
 
+def _by_image_id(records: list[SpottingRecord], side: str) -> dict[str, SpottingRecord]:
+    by_id: dict[str, SpottingRecord] = {}
+    for r in records:
+        if r.image_id in by_id:
+            raise ValueError(f"duplicate {side} image id {r.image_id!r}")
+        by_id[r.image_id] = r
+    return by_id
+
+
 def match_records(
     gts: list[SpottingRecord],
     preds: list[SpottingRecord],
@@ -135,12 +144,13 @@ def match_records(
     """Match whole datasets, pairing records by image id.
 
     Images present on only one side are scored against an empty record.
-    The result is sorted by image id.
+    An image id may appear at most once per side. The result is sorted by
+    image id.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
-    gt_by_id = {r.image_id: r for r in gts}
-    pred_by_id = {r.image_id: r for r in preds}
+    gt_by_id = _by_image_id(gts, "ground-truth")
+    pred_by_id = _by_image_id(preds, "prediction")
     out = []
     for image_id in sorted(set(gt_by_id) | set(pred_by_id)):
         g = gt_by_id.get(image_id) or SpottingRecord(image_id)

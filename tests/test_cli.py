@@ -147,6 +147,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:2: score '{score}' not in [0, 1]" in err
 
+    def test_ground_truth_score_exits_2(self, tmp_path, capsys):
+        _, pred_path = hand_fixture(tmp_path)
+        gt = tmp_path / "gt_scored.txt"
+        gt.write_text("img,0.5,0,0,1,1,0,京A11111\n", "utf-8")
+        rc = cli.main(["evaluate", "--gt", str(gt), "--pred", str(pred_path)])
+        assert rc == 2
+        assert f"{gt}:1: ground-truth score field must be empty" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         gt_path, _ = hand_fixture(tmp_path)
         rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(tmp_path / "nope.txt")])

@@ -23,6 +23,54 @@ def normalized_logits(rng, t_len, k):
     return raw - np.logaddexp.reduce(raw, axis=1)[:, None]
 
 
+def ctc_loss_concatenate_reference(logp, target):
+    """The frame-by-frame recursion with per-frame np.concatenate shifts."""
+    t_len, num_classes = logp.shape
+    ext = np.zeros(2 * len(target) + 1, dtype=np.int64)
+    ext[1::2] = target
+    s_len = ext.size
+    emit = logp[:, ext]
+    skip = np.zeros(s_len, dtype=bool)
+    if s_len > 2:
+        skip[2:] = (ext[2:] != BLANK_INDEX) & (ext[2:] != ext[:-2])
+    neg_inf = -np.inf
+    alpha = np.full((t_len, s_len), neg_inf)
+    alpha[0, 0] = emit[0, 0]
+    if s_len > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        step = np.concatenate(([neg_inf], prev))[:s_len]
+        jump = np.concatenate(([neg_inf, neg_inf], prev))[:s_len]
+        jump = np.where(skip, jump, neg_inf)
+        alpha[t] = emit[t] + np.logaddexp(np.logaddexp(prev, step), jump)
+    if s_len > 1:
+        log_p = float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
+    else:
+        log_p = float(alpha[-1, -1])
+    beta = np.full((t_len, s_len), neg_inf)
+    beta[-1, -1] = 0.0
+    if s_len > 1:
+        beta[-1, -2] = 0.0
+    for t in range(t_len - 2, -1, -1):
+        nxt = emit[t + 1] + beta[t + 1]
+        step = np.concatenate((nxt[1:], [neg_inf]))[:s_len]
+        jump = np.concatenate((nxt[2:], [neg_inf, neg_inf]))[:s_len]
+        allow_jump = np.concatenate((skip[2:], [False, False]))[:s_len]
+        jump = np.where(allow_jump, jump, neg_inf)
+        beta[t] = np.logaddexp(np.logaddexp(nxt, step), jump)
+    occupancy = alpha + beta
+    grad = np.zeros((t_len, num_classes))
+    for cls in np.unique(ext):
+        cols = occupancy[:, ext == cls]
+        m = cols.max(axis=1)
+        safe = m > neg_inf
+        acc = np.full(t_len, neg_inf)
+        acc[safe] = m[safe] + np.log(np.exp(cols[safe] - m[safe, None]).sum(axis=1))
+        grad[:, cls] = -np.exp(acc - log_p)
+    return -log_p, grad
+
+
 def rows(*probs):
     arr = np.array(probs, dtype=float)
     return np.log(arr / arr.sum(axis=1, keepdims=True))
@@ -84,6 +132,21 @@ class TestCtcLoss:
                         assert abs(got - want) < 1e-9
                         checked += 1
         assert checked > 40
+
+    def test_equals_concatenate_recursion(self):
+        rng = np.random.default_rng(7)
+        targets = [[], [1], [3, 3], [2, 2, 2], [1, 2, 1], [4, 4, 1, 5, 5], [1, 2, 3, 4, 5, 6, 7]]
+        cases = 0
+        for target in targets:
+            need = min_frames_for(target)
+            for t_len in {max(need, 1), need + 1, need + 6}:
+                logp = normalized_logits(rng, t_len, 8)
+                loss, grad = ctc_loss(logp, target)
+                want_loss, want_grad = ctc_loss_concatenate_reference(logp, target)
+                assert loss == want_loss
+                assert np.array_equal(grad, want_grad)
+                cases += 1
+        assert cases == 20
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(2)

@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcore.ctc import DEFAULT_SYMBOLS
 from lpcore.dataio import (
+    TENSOR_MAGIC,
     Annotation,
     PlateType,
     load_tensors,
@@ -146,6 +151,16 @@ class TestPredictionFiles:
         path.write_text("img,0,1,1,2,1,0,A\nimg,1.000000,10,10,5,2,0,B\n", "utf-8")
         assert [it.score for it in parse_predictions(path)[0].items] == [0.0, 1.0]
 
+    def test_ground_truth_score_rejected(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("img,,1,1,2,1,0,A\nimg,0.5,10,10,5,2,0,B\n", "utf-8")
+        assert len(parse_predictions(path)[0].items) == 2  # fine as predictions
+        with pytest.raises(ParseError) as err:
+            parse_predictions(path, ground_truth=True)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+        path.write_text("img,,1,1,2,1,0,A\n", "utf-8")
+        assert parse_predictions(path, ground_truth=True)[0].items[0].score is None
+
     def test_field_count_enforced(self, tmp_path):
         path = tmp_path / "pred.txt"
         path.write_text("img,0.9,10,10,5,2,0\n", encoding="utf-8")
@@ -194,6 +209,38 @@ class TestTensorContainer:
         path.write_bytes(path.read_bytes() + b"zz")
         with pytest.raises(ParseError):
             load_tensors(path)
+
+
+    def test_overflowing_shape_rejected(self, tmp_path):
+        path = tmp_path / "weights.lpt"
+        header = struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B2Q", 2, 2**62, 2**62)
+        path.write_bytes(TENSOR_MAGIC + header + b"\x00" * 64)
+        with pytest.raises(ParseError, match="truncated"):
+            load_tensors(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=200),
+            st.builds(
+                lambda name, dims, payload: (
+                    struct.pack("<IH", 1, len(name)) + name
+                    + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + payload
+                ),
+                st.binary(max_size=8),
+                st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=70),
+                st.binary(max_size=64),
+            ),
+        )
+    )
+    def test_any_bytes_load_or_raise_parse_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.lpt"
+        path.write_bytes(TENSOR_MAGIC + body)
+        try:
+            tensors = load_tensors(path)
+        except ParseError:
+            return
+        assert all(arr.dtype == np.float64 for arr in tensors.values())
 
 
 class TestSynthFixture:

@@ -6,6 +6,7 @@ import pytest
 from lpcore.errors import ShapeMismatchError
 from lpcore.feature_ops import (
     BiLstmParams,
+    _bilinear_gather,
     CropSpec,
     FeatureMap,
     LstmParams,
@@ -21,6 +22,68 @@ from lpcore.feature_ops import (
 )
 from lpcore.geometry import RotatedBox, ScoredBox
 from lpcore.oracles import conv2d_naive, dense_rroi_align
+
+
+def scalar_bilinear(plane, x, y):
+    """Reference bilinear read of one (H, W) plane, one corner at a time."""
+    h, w = plane.shape
+    x0, y0 = math.floor(x), math.floor(y)
+    fx, fy = x - x0, y - y0
+    total = 0.0
+    for dy, dx, wgt in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (0, 1, fx * (1 - fy)),
+        (1, 0, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        if 0 <= y0 + dy < h and 0 <= x0 + dx < w:
+            total += wgt * plane[y0 + dy, x0 + dx]
+    return total
+
+
+def deformable_reference(fm, weights, bias, offsets, stride, padding):
+    """Per output pixel and tap loop over bilinear_sample."""
+    out_c, in_c, k, _ = weights.shape
+    out = np.zeros((out_c, offsets.height, offsets.width))
+    for oy in range(offsets.height):
+        for ox in range(offsets.width):
+            for ki in range(k):
+                for kj in range(k):
+                    t = ki * k + kj
+                    y = oy * stride - padding + ki + offsets.data[2 * t, oy, ox]
+                    x = ox * stride - padding + kj + offsets.data[2 * t + 1, oy, ox]
+                    col = np.array([bilinear_sample(fm, x, y, c) for c in range(in_c)])
+                    out[:, oy, ox] += weights[:, :, ki, kj] @ col
+    return out + bias[:, None, None]
+
+
+def lstm_reference(seq, p):
+    """One direction, one frame, one hidden unit and one gate at a time."""
+    hidden = p.hidden_size
+
+    def sig(v):
+        return 1.0 / (1.0 + math.exp(-v))
+
+    h = [0.0] * hidden
+    c = [0.0] * hidden
+    outs = []
+    for x in seq:
+        def pre(gate, j):
+            row = gate * hidden + j
+            return (
+                sum(p.w_input[row, d] * x[d] for d in range(len(x)))
+                + sum(p.w_hidden[row, m] * h[m] for m in range(hidden))
+                + p.bias[row]
+            )
+
+        new_h, new_c = [], []
+        for j in range(hidden):
+            i, f, g, o = sig(pre(0, j)), sig(pre(1, j)), math.tanh(pre(2, j)), sig(pre(3, j))
+            new_c.append(f * c[j] + i * g)
+            new_h.append(o * math.tanh(new_c[j]))
+        h, c = new_h, new_c
+        outs.append(h)
+    return np.array(outs)
 
 
 def ramp_map(height=30, width=40, channels=2):
@@ -82,6 +145,26 @@ class TestBilinearSample:
         assert bilinear_sample(fm, 1.0, 7.0, 0) == 0.0
         # half-in: only the in-range neighbour contributes
         assert bilinear_sample(fm, -0.5, 1.0, 0) == pytest.approx(2.0)
+
+    def test_edge_band_matches_scalar_formula(self):
+        # x in (-1, 0) or (W-1, W), and likewise y: one corner column (row)
+        # lies inside the map and the other outside
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(3, 5, 7))
+        _, h, w = data.shape
+        bands_x = [(-1.0, 0.0), (0.0, w - 1.0), (w - 1.0, float(w))]
+        bands_y = [(-1.0, 0.0), (0.0, h - 1.0), (h - 1.0, float(h))]
+        xs, ys = [], []
+        for bx in bands_x:
+            for by in bands_y:
+                xs.extend(rng.uniform(*bx, size=20))
+                ys.extend(rng.uniform(*by, size=20))
+        xs, ys = np.array(xs), np.array(ys)
+        got = _bilinear_gather(data, xs, ys)
+        assert got.shape == (3, xs.size)
+        for c in range(3):
+            want = [scalar_bilinear(data[c], x, y) for x, y in zip(xs, ys)]
+            assert np.abs(got[c] - want).max() < 1e-12
 
     def test_channel_range(self):
         fm = FeatureMap.zeros(1, 2, 2)
@@ -254,6 +337,25 @@ class TestDeformableConv2d:
         got = deformable_conv2d_forward(fm, w, None, FeatureMap(off))
         assert np.abs(got.data[:, :, :5] - std.data[:, :, 1:6]).max() < 1e-12
 
+    def test_random_offsets_match_per_tap_loop(self):
+        rng = np.random.default_rng(13)
+        fm = FeatureMap(rng.normal(size=(2, 6, 7)))
+        w = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        for stride in (1, 2):
+            for padding in (0, 1):
+                oh = (6 + 2 * padding - 3) // stride + 1
+                ow = (7 + 2 * padding - 3) // stride + 1
+                off = FeatureMap(rng.uniform(-2.5, 2.5, size=(18, oh, ow)))
+                ki, kj = np.divmod(np.arange(9)[:, None, None], 3)
+                ys = np.arange(oh)[:, None] * stride - padding + ki + off.data[0::2]
+                xs = np.arange(ow) * stride - padding + kj + off.data[1::2]
+                outside = (ys < 0) | (ys > fm.height - 1) | (xs < 0) | (xs > fm.width - 1)
+                assert np.all(off.data != 0.0) and 0 < outside.mean() < 1
+                got = deformable_conv2d_forward(fm, w, b, off, stride, padding)
+                want = deformable_reference(fm, w, b, off, stride, padding)
+                assert np.abs(got.data - want).max() < 1e-12
+
     def test_offset_shape_errors(self):
         fm = FeatureMap.zeros(1, 7, 7)
         w = np.zeros((1, 1, 3, 3))
@@ -344,6 +446,17 @@ class TestBiLstm:
         hidden = 4
         swapped = np.concatenate([out[::-1, hidden:], out[::-1, :hidden]], axis=1)
         assert np.allclose(out, swapped, atol=1e-12)
+
+    def test_multi_step_matches_per_gate_loop(self):
+        rng = np.random.default_rng(14)
+        fwd = self.params(5, 4, rng=rng)
+        bwd = self.params(5, 4, rng=rng)
+        seq = rng.normal(size=(9, 5))
+        out = bilstm_forward(seq, BiLstmParams(fwd, bwd))
+        want = np.concatenate(
+            [lstm_reference(seq, fwd), lstm_reference(seq[::-1], bwd)[::-1]], axis=1
+        )
+        assert np.abs(out - want).max() < 1e-12
 
     def test_shape_errors(self):
         p = self.params(3, 2)

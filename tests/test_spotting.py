@@ -190,6 +190,14 @@ class TestMatchRecords:
         with pytest.raises(ValueError):
             match_records(gts, preds, iou_thresh=thresh)
 
+    def test_duplicate_image_ids_rejected(self):
+        gts, preds = self.build()
+        dup = SpottingRecord("img0", (SpottingItem(square(40.0), "京A99999"),))
+        with pytest.raises(ValueError, match="'img0'"):
+            match_records(gts + [dup], preds)
+        with pytest.raises(ValueError, match="'img0'"):
+            match_records(gts, preds + [dup])
+
     def test_order_of_input_records_irrelevant(self):
         gts, preds = self.build()
         a = match_records(gts, preds)
