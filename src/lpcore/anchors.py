@@ -148,22 +148,16 @@ def assign_targets(
 
     # Force-match: a gt that ended up with no positive anchor claims its
     # best-IoU anchor, preferring anchors not already holding another gt.
+    # If every overlapping anchor is taken, it steals the best one anyway.
     for k in range(len(gts)):
         if np.any(gt_index == k):
             continue
         col = iou[:, k]
-        candidates = np.argsort(-col, kind="stable")
-        chosen = -1
-        for a in candidates:
-            if col[a] <= 0.0:
-                break
-            if gt_index[a] < 0:
-                chosen = int(a)
-                break
-            if chosen == -1:
-                chosen = int(a)  # fallback: steal the overall best
-        if chosen >= 0:
-            gt_index[chosen] = k
+        order = np.argsort(-col, kind="stable")
+        order = order[col[order] > 0.0]
+        if order.size:
+            free = order[gt_index[order] < 0]
+            gt_index[free[0] if free.size else order[0]] = k
     return Assignment(gt_index, max_iou, pos_iou, neg_iou)
 
 
@@ -197,10 +191,4 @@ def decode_delta(b: RotatedBox, d: BoxDelta) -> RotatedBox:
 
 def refine_anchor(b: RotatedBox, d: ShapeDelta) -> RotatedBox:
     """Adjust only (w, h, theta); the center is carried over unchanged."""
-    return RotatedBox(
-        b.cx,
-        b.cy,
-        b.w * math.exp(d.dw),
-        b.h * math.exp(d.dh),
-        math.atan(_checked_tan(b.theta) + d.dtheta),
-    )
+    return decode_delta(b, BoxDelta(0.0, 0.0, d.dw, d.dh, d.dtheta))

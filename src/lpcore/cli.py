@@ -228,15 +228,13 @@ SELFCHECK_SUITES = (
 )
 
 
-def cmd_selfcheck(inject_fault: bool = False, out=None) -> int:
+def cmd_selfcheck(out=None) -> int:
     """Run every oracle suite; exit 0 only if all tolerances hold."""
     out = out if out is not None else sys.stdout
     failures = 0
-    for index, (name, runner, tol) in enumerate(SELFCHECK_SUITES):
+    for name, runner, tol in SELFCHECK_SUITES:
         start = time.perf_counter()
         max_error = runner()
-        if inject_fault and index == 0:
-            max_error = tol * 10.0  # plumbing hook used by tests
         elapsed = time.perf_counter() - start
         ok = max_error < tol
         failures += not ok
@@ -362,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timestamp", action="store_true", help="omit the timestamp line from the report"
     )
 
-    p_check = sub.add_parser("selfcheck", help="run all oracle suites")
-    p_check.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("selfcheck", help="run all oracle suites")
 
     p_synth = sub.add_parser("synth", help="generate synthetic gt/pred fixture files")
     p_synth.add_argument("--seed", type=int, required=True)
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
             )
             return 0
         if args.command == "selfcheck":
-            return cmd_selfcheck(inject_fault=args.inject_fault)
+            return cmd_selfcheck()
         if args.command == "synth":
             gt_path, pred_path = cmd_synth(args.seed, args.n, args.noise, args.out)
             print(f"wrote {gt_path} and {pred_path}")

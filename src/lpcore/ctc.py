@@ -200,9 +200,9 @@ def ctc_loss(
     return -log_p, grad
 
 
-def greedy_decode(logp: np.ndarray, alphabet: Alphabet, validate: bool = True) -> str:
+def greedy_decode(logp: np.ndarray, alphabet: Alphabet) -> str:
     """Best path: per-frame argmax, collapse repeats, drop blanks."""
-    logp = _check_log_probs(logp, validate)
+    logp = _check_log_probs(logp, validate=True)
     if logp.shape[1] != alphabet.num_classes:
         raise ShapeMismatchError(
             f"frame has {logp.shape[1]} classes, alphabet expects {alphabet.num_classes}"

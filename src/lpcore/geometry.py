@@ -9,6 +9,7 @@ that canonical form on construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DegenerateQuadError
@@ -37,8 +38,11 @@ class RotatedBox:
     def __post_init__(self):
         for name in ("cx", "cy", "w", "h", "theta"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            f = v if type(v) is float else _real_as_float(v)
+            if not math.isfinite(f):
                 raise ValueError(f"RotatedBox.{name} must be finite, got {v!r}")
+            if f is not v:
+                object.__setattr__(self, name, f)
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"RotatedBox sides must be positive, got w={self.w}, h={self.h}")
         if not -_QUARTER_PI <= self.theta < _QUARTER_PI:
@@ -50,6 +54,14 @@ class RotatedBox:
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+def _real_as_float(v) -> float:
+    """A Python or numpy real scalar as a Python float; anything else as NaN."""
+    try:
+        return float(v) if isinstance(v, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        return math.inf
 
 
 def _fold_angle(w: float, h: float, theta: float) -> tuple[float, float, float]:
@@ -98,8 +110,11 @@ class ScoredBox:
     score: float
 
     def __post_init__(self):
-        if not (isinstance(self.score, (int, float)) and 0.0 <= self.score <= 1.0):
+        s = self.score if type(self.score) is float else _real_as_float(self.score)
+        if not 0.0 <= s <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score!r}")
+        if s is not self.score:
+            object.__setattr__(self, "score", s)
 
 
 def _shoelace(pts) -> float:

@@ -7,8 +7,10 @@ without autodiff. Composition helpers mirror the detector's weighted sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .anchors import BoxDelta, ShapeDelta
 from .errors import DomainError
@@ -48,6 +50,23 @@ class EndToEndWeights:
     lambda_rec: float = 0.1
 
 
+def _focal(p: np.ndarray, y: np.ndarray, params: FocalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise focal loss and d/dp for checked p in [0, 1] and y in {0, 1}."""
+    pos = y == 1
+    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    pt = np.where(pos, p, 1.0 - p)
+    at = np.where(pos, params.alpha, 1.0 - params.alpha)
+    one_minus = 1.0 - pt
+    log_pt = np.log(pt)
+    gamma = params.gamma
+    loss = -at * one_minus**gamma * log_pt
+    if gamma == 0.0:
+        dloss_dpt = -at / pt
+    else:
+        dloss_dpt = at * gamma * one_minus ** (gamma - 1.0) * log_pt - at * one_minus**gamma / pt
+    return loss, np.where(pos, dloss_dpt, -dloss_dpt)
+
+
 def focal_loss(p: float, y: int, params: FocalParams = FocalParams()) -> tuple[float, float]:
     """Focal loss -alpha_t (1 - p_t)^gamma log(p_t) and d/dp.
 
@@ -59,20 +78,8 @@ def focal_loss(p: float, y: int, params: FocalParams = FocalParams()) -> tuple[f
         raise DomainError(f"probability must be in [0, 1], got {p!r}")
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
-    p = min(max(p, PROB_EPS), 1.0 - PROB_EPS)
-    if y == 1:
-        pt, at, dpt_dp = p, params.alpha, 1.0
-    else:
-        pt, at, dpt_dp = 1.0 - p, 1.0 - params.alpha, -1.0
-    one_minus = 1.0 - pt
-    log_pt = math.log(pt)
-    gamma = params.gamma
-    loss = -at * one_minus**gamma * log_pt
-    if gamma == 0.0:
-        dloss_dpt = -at / pt
-    else:
-        dloss_dpt = at * gamma * one_minus ** (gamma - 1.0) * log_pt - at * one_minus**gamma / pt
-    return loss, dloss_dpt * dpt_dp
+    loss, grad = _focal(np.float64(p), np.int64(y), params)
+    return float(loss), float(grad)
 
 
 def smooth_l1(x: float) -> tuple[float, float]:
@@ -82,30 +89,21 @@ def smooth_l1(x: float) -> tuple[float, float]:
     return abs(x) - 0.5, math.copysign(1.0, x)
 
 
+def _smooth_l1_sum(target, pred) -> float:
+    """Smooth-L1 of target - pred summed over every field of the delta."""
+    return sum(
+        smooth_l1(getattr(target, f.name) - getattr(pred, f.name))[0] for f in fields(target)
+    )
+
+
 def regression_loss(target: BoxDelta, pred: BoxDelta) -> float:
     """Smooth-L1 summed over the five offset components."""
-    return sum(
-        smooth_l1(t - p)[0]
-        for t, p in (
-            (target.dx, pred.dx),
-            (target.dy, pred.dy),
-            (target.dw, pred.dw),
-            (target.dh, pred.dh),
-            (target.dtheta, pred.dtheta),
-        )
-    )
+    return _smooth_l1_sum(target, pred)
 
 
 def refinement_loss(target: ShapeDelta, pred: ShapeDelta) -> float:
     """Smooth-L1 summed over the three shape components."""
-    return sum(
-        smooth_l1(t - p)[0]
-        for t, p in (
-            (target.dw, pred.dw),
-            (target.dh, pred.dh),
-            (target.dtheta, pred.dtheta),
-        )
-    )
+    return _smooth_l1_sum(target, pred)
 
 
 def detection_loss(
@@ -119,50 +117,33 @@ def end_to_end_loss(l_det: float, l_rec: float, w: EndToEndWeights = EndToEndWei
 
 
 def anchor_classification_loss(
-    probs: Sequence[float],
-    labels: Sequence[int],
-    params: FocalParams = FocalParams(),
-    reduction: str = "positive",
+    probs: Sequence[float], labels: Sequence[int], params: FocalParams = FocalParams()
 ) -> float:
-    """Focal loss over anchors; labels are 1 / 0 / -1 (ignored).
+    """Focal loss over anchors, divided by the positive count (never below 1).
 
-    reduction: "positive" divides by the positive count (never below 1),
-    "mean" by the non-ignored count, "sum" not at all.
+    Labels are 1 / 0 / -1; anchors labelled -1 are ignored, whatever their
+    probability. Any other anchor must have p in [0, 1] and a label in
+    {0, 1}; the first one that does not raises the error focal_loss would.
     """
     if len(probs) != len(labels):
         raise ValueError("probs and labels length mismatch")
-    total = 0.0
-    n_pos = 0
-    n_used = 0
-    for p, lab in zip(probs, labels):
-        if lab == -1:
-            continue
-        total += focal_loss(p, lab, params)[0]
-        n_used += 1
-        if lab == 1:
-            n_pos += 1
-    if reduction == "sum":
-        return total
-    if reduction == "mean":
-        return total / max(1, n_used)
-    if reduction == "positive":
-        return total / max(1, n_pos)
-    raise ValueError(f"unknown reduction {reduction!r}")
+    y = np.asarray(labels, dtype=np.float64)
+    used = y != -1
+    p = np.asarray(probs, dtype=np.float64)[used]
+    y = y[used]
+    bad = ~((p >= 0.0) & (p <= 1.0)) | ~((y == 0) | (y == 1))
+    if bad.any():
+        first = int(np.flatnonzero(used)[bad.argmax()])
+        focal_loss(probs[first], labels[first], params)  # raises for that anchor
+    loss, _ = _focal(p, y, params)
+    return float(loss.sum()) / max(1, int(np.count_nonzero(y == 1)))
 
 
-def anchor_localization_loss(
-    targets: Iterable[BoxDelta],
-    preds: Iterable[BoxDelta],
-    reduction: str = "positive",
-) -> float:
-    """Regression loss over matched (positive) anchor pairs."""
+def anchor_localization_loss(targets: Iterable[BoxDelta], preds: Iterable[BoxDelta]) -> float:
+    """Regression loss over matched (positive) anchor pairs, divided by the
+    pair count (never below 1)."""
     targets = list(targets)
     preds = list(preds)
     if len(targets) != len(preds):
         raise ValueError("targets and preds length mismatch")
-    total = sum(regression_loss(t, p) for t, p in zip(targets, preds))
-    if reduction == "sum":
-        return total
-    if reduction in ("positive", "mean"):
-        return total / max(1, len(targets))
-    raise ValueError(f"unknown reduction {reduction!r}")
+    return sum(regression_loss(t, p) for t, p in zip(targets, preds)) / max(1, len(targets))

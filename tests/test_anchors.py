@@ -42,6 +42,35 @@ def random_pair(rng):
     return b, g
 
 
+def _assign_reference(grid, gts, paths, pos_iou=0.5, neg_iou=0.4):
+    """gt_index of assign_targets with the force-match as a walk down the
+    sorted anchors; counts in ``paths`` which branch each force-match took."""
+    iou = np.array([[rotated_iou(a, g) for g in gts] for a in grid.anchors])
+    max_iou = iou.max(axis=1)
+    gt_index = np.full(len(grid.anchors), NEGATIVE, dtype=np.int64)
+    gt_index[max_iou >= neg_iou] = IGNORE
+    positive = max_iou >= pos_iou
+    gt_index[positive] = iou.argmax(axis=1)[positive]
+    for k in range(len(gts)):
+        if np.any(gt_index == k):
+            continue
+        col = iou[:, k]
+        chosen = -1
+        free = False
+        for a in np.argsort(-col, kind="stable"):
+            if col[a] <= 0.0:
+                break
+            if gt_index[a] < 0:
+                chosen, free = int(a), True
+                break
+            if chosen == -1:
+                chosen = int(a)  # fallback: steal the overall best
+        if chosen >= 0:
+            paths["free" if free else "steal"] += 1
+            gt_index[chosen] = k
+    return gt_index
+
+
 class TestGenerateAnchors:
     def test_two_by_two_centers(self):
         grid = generate_anchors(2, 2, 8, 16.0, 8.0)
@@ -137,6 +166,35 @@ class TestAssignTargets:
                 if max(rotated_iou(a, gt) for a in grid.anchors) > 0.0:
                     assert k in matched
 
+    def test_force_match_equals_per_anchor_walk(self):
+        rng = np.random.default_rng(13)
+        held = [
+            RotatedBox(8.0, 4.0, 48.0, 16.0, 0.0),  # positive on both anchors
+            RotatedBox(8.0, 4.0, 2.0, 2.0, 0.0),  # overlaps only those two
+        ]
+        cases = [(generate_anchors(1, 2, 8, 48.0, 16.0), held)]
+        for _ in range(40):
+            side = int(rng.integers(3, 9))
+            base_w, base_h = float(rng.uniform(8, 40)), float(rng.uniform(4, 16))
+            grid = generate_anchors(side, side, 8, base_w, base_h)
+            gts = [
+                RotatedBox(
+                    rng.uniform(0, 8 * side),
+                    rng.uniform(0, 8 * side),
+                    rng.uniform(1, 40),
+                    rng.uniform(1, 16),
+                    rng.uniform(-0.5, 0.5),
+                )
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            cases.append((grid, gts))
+        paths = {"free": 0, "steal": 0}
+        for grid, gts in cases:
+            want = _assign_reference(grid, gts, paths)
+            np.testing.assert_array_equal(assign_targets(grid, gts).gt_index, want)
+        assert paths["free"] > 0 and paths["steal"] > 0
+        np.testing.assert_array_equal(_assign_reference(*cases[0], paths), [1, 0])
+
     def test_label_partition(self):
         grid = generate_anchors(4, 4, 8, 20.0, 10.0)
         out = assign_targets(grid, [RotatedBox(16, 16, 20, 10, 0.1)])
@@ -223,6 +281,20 @@ class TestRefineAnchor:
             out = refine_anchor(b, d)
             assert out.cx == b.cx  # bit-exact, not approx
             assert out.cy == b.cy
+
+    def test_shape_matches_formula(self):
+        rng = np.random.default_rng(10)
+        for _ in range(500):
+            b, _ = random_pair(rng)
+            d = ShapeDelta(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
+            want = RotatedBox(
+                b.cx,
+                b.cy,
+                b.w * math.exp(d.dw),
+                b.h * math.exp(d.dh),
+                math.atan(math.tan(b.theta) + d.dtheta),
+            )
+            assert refine_anchor(b, d) == want  # bit-exact
 
 
 class TestDeltaValidation:

@@ -196,10 +196,18 @@ class TestSelfcheck:
         assert "4/4 suites ok" in buf.getvalue()
 
     def test_injected_fault_nonzero(self, monkeypatch):
-        monkeypatch.setattr(cli, "SELFCHECK_SUITES", self.fast_suites())
+        suites = list(self.fast_suites())
+        name, _, tol = suites[0]
+        suites[0] = (name, lambda: tol * 10.0, tol)
+        monkeypatch.setattr(cli, "SELFCHECK_SUITES", tuple(suites))
         buf = io.StringIO()
-        assert cli.cmd_selfcheck(inject_fault=True, out=buf) == 1
+        assert cli.cmd_selfcheck(out=buf) == 1
         assert "status=FAIL" in buf.getvalue()
+
+    def test_no_hidden_fault_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selfcheck", "--inject-fault"])
+        assert exc.value.code == 2
 
     def test_each_suite_listed_once(self, monkeypatch):
         monkeypatch.setattr(cli, "SELFCHECK_SUITES", self.fast_suites())

@@ -54,10 +54,21 @@ class TestRotatedBox:
             RotatedBox(0, 0, 1.0, -2.0, 0.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            RotatedBox(math.nan, 0, 1, 1, 0)
-        with pytest.raises(ValueError):
-            RotatedBox(0, 0, 1, 1, math.inf)
+        non_finite = (math.nan, math.inf, -math.inf, np.float32("nan"), np.float64("inf"), 10**400)
+        for bad in non_finite + ("1", None):
+            with pytest.raises(ValueError):
+                RotatedBox(bad, 0, 1, 1, 0)
+            with pytest.raises(ValueError):
+                RotatedBox(0, 0, 1, 1, bad)
+            with pytest.raises(ValueError):
+                ScoredBox(RotatedBox(0, 0, 1, 1, 0), bad)
+
+    def test_numpy_scalars_stored_as_python_floats(self):
+        b = RotatedBox(np.float32(3.0), np.int64(-2), np.float64(4.5), 2, np.float32(0.25))
+        assert all(type(v) is float for v in (b.cx, b.cy, b.w, b.h, b.theta))
+        assert (b.cx, b.cy, b.w, b.h, b.theta) == (3.0, -2.0, 4.5, 2.0, float(np.float32(0.25)))
+        s = ScoredBox(b, np.float32(0.5))
+        assert type(s.score) is float and s.score == 0.5
 
     def test_angle_folding_swaps_sides(self):
         b = RotatedBox(1.0, 2.0, 4.0, 2.0, math.pi / 2)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcore.anchors import BoxDelta, ShapeDelta
 from lpcore.errors import DomainError
 from lpcore.losses import (
+    PROB_EPS,
     DetLossWeights,
     EndToEndWeights,
     FocalParams,
@@ -137,34 +140,147 @@ class TestCompositeLosses:
 class TestAnchorReductions:
     def test_ignored_anchors_excluded(self):
         probs = [0.9, 0.2, 0.5]
-        with_ignore = anchor_classification_loss(probs, [1, 0, -1], reduction="sum")
-        without = anchor_classification_loss(probs[:2], [1, 0], reduction="sum")
+        with_ignore = anchor_classification_loss(probs, [1, 0, -1])
+        without = anchor_classification_loss(probs[:2], [1, 0])
         assert with_ignore == pytest.approx(without)
 
     def test_positive_normalization(self):
         probs = [0.9, 0.8, 0.2, 0.3]
         labels = [1, 1, 0, 0]
-        total = anchor_classification_loss(probs, labels, reduction="sum")
-        assert anchor_classification_loss(probs, labels, reduction="positive") == pytest.approx(
-            total / 2
-        )
-        assert anchor_classification_loss(probs, labels, reduction="mean") == pytest.approx(
-            total / 4
-        )
+        total = sum(focal_loss(p, y)[0] for p, y in zip(probs, labels))
+        assert anchor_classification_loss(probs, labels) == pytest.approx(total / 2)
 
     def test_no_positives_uses_unit_divisor(self):
-        value = anchor_classification_loss([0.2], [0], reduction="positive")
-        assert value == pytest.approx(anchor_classification_loss([0.2], [0], reduction="sum"))
+        value = anchor_classification_loss([0.2], [0])
+        assert value == pytest.approx(focal_loss(0.2, 0)[0])
 
     def test_localization_mean(self):
         zero = BoxDelta(0, 0, 0, 0, 0)
         targets = [BoxDelta(0.5, 0, 0, 0, 0), BoxDelta(2, 2, 0, 0, 0)]
         preds = [zero, zero]
-        assert anchor_localization_loss(targets, preds, reduction="sum") == pytest.approx(3.125)
+        assert sum(map(regression_loss, targets, preds)) == pytest.approx(3.125)
         assert anchor_localization_loss(targets, preds) == pytest.approx(3.125 / 2)
+        assert anchor_localization_loss([], []) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             anchor_classification_loss([0.5], [1, 0])
         with pytest.raises(ValueError):
-            anchor_classification_loss([0.5], [1], reduction="bogus")
+            anchor_localization_loss([BoxDelta(0, 0, 0, 0, 0)], [])
+
+
+def _focal_reference(p, y, params):
+    """The scalar focal formula, written out in Python floats."""
+    p = min(max(p, PROB_EPS), 1.0 - PROB_EPS)
+    if y == 1:
+        pt, at, dpt_dp = p, params.alpha, 1.0
+    else:
+        pt, at, dpt_dp = 1.0 - p, 1.0 - params.alpha, -1.0
+    one_minus = 1.0 - pt
+    log_pt = math.log(pt)
+    gamma = params.gamma
+    loss = -at * one_minus**gamma * log_pt
+    if gamma == 0.0:
+        dloss_dpt = -at / pt
+    else:
+        dloss_dpt = at * gamma * one_minus ** (gamma - 1.0) * log_pt - at * one_minus**gamma / pt
+    return loss, dloss_dpt * dpt_dp
+
+
+def _anchor_loss_reference(probs, labels, params):
+    """Per-anchor loop: scalar checks and formula, divided by the positive count."""
+    if len(probs) != len(labels):
+        raise ValueError("length mismatch")
+    total = 0.0
+    n_pos = 0
+    for p, lab in zip(probs, labels):
+        if lab == -1:
+            continue
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(p)
+        if lab not in (0, 1):
+            raise ValueError(lab)
+        total += _focal_reference(p, lab, params)[0]
+        n_pos += lab == 1
+    return total / max(1, n_pos)
+
+
+def _seeded_anchor_sets():
+    """(probs, labels, params): 24 seeded 4096-anchor sets, then the edge sets."""
+    rng = np.random.default_rng(5)
+    for i in range(24):
+        labels = rng.choice([-1, 0, 1], size=4096, p=[0.2, 0.75, 0.05]).tolist()
+        probs = rng.uniform(0.0, 1.0, size=4096)
+        probs[rng.integers(0, 4096, size=16)] = rng.choice([0.0, 1.0, 1e-9, 1.0 - 1e-9], size=16)
+        gamma = 0.0 if i % 4 == 0 else float(rng.uniform(0.5, 4.0))
+        yield probs.tolist(), labels, FocalParams(float(rng.uniform(0.05, 0.95)), gamma)
+    probs = rng.uniform(0.0, 1.0, size=4096).tolist()
+    yield probs, [-1] * 4096, FocalParams()
+    yield probs, rng.choice([-1, 0], size=4096).tolist(), FocalParams()
+
+
+class TestAgainstScalarReference:
+    def test_focal_loss_matches_formula(self):
+        rng = np.random.default_rng(11)
+        cases = [(p, y) for p in (0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5) for y in (0, 1)]
+        cases += [(float(rng.uniform(0, 1)), int(rng.integers(0, 2))) for _ in range(2000)]
+        for i, (p, y) in enumerate(cases):
+            gamma = 0.0 if i % 3 == 0 else float(rng.uniform(0.0, 5.0))
+            params = FocalParams(float(rng.uniform(0.01, 0.99)), gamma)
+            loss, grad = focal_loss(p, y, params)
+            want_loss, want_grad = _focal_reference(p, y, params)
+            assert type(loss) is float and type(grad) is float
+            assert abs(loss - want_loss) <= 1e-12
+            assert abs(grad - want_grad) <= 1e-12 * max(1.0, abs(want_grad))
+
+    def test_anchor_loss_matches_loop(self):
+        for probs, labels, params in _seeded_anchor_sets():
+            got = anchor_classification_loss(probs, labels, params)
+            want = _anchor_loss_reference(probs, labels, params)
+            assert type(got) is float
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "probs, labels",
+        [
+            ([0.2, 1.5, 0.3], [0, 1, 0]),
+            ([0.2, -0.1, 0.3], [1, 0, -1]),
+            ([0.2, math.nan], [1, 0]),
+            ([0.2, 0.3], [1, 2]),
+            ([0.2, 0.3], [-2, 0]),
+            ([0.2, 0.3, 0.4], [1, 0.5, 0]),
+            ([0.2, 0.3, 7.0], [3, 0, 1]),
+            ([0.2, 7.0, 0.4], [1, 0, 3]),
+            ([0.2, 0.3], [1]),
+        ],
+    )
+    def test_bad_inputs_raise_reference_type(self, probs, labels):
+        with pytest.raises(ValueError) as want:
+            _anchor_loss_reference(probs, labels, FocalParams())
+        with pytest.raises(ValueError) as got:
+            anchor_classification_loss(probs, labels)
+        assert got.type is want.type
+
+    def test_ignored_anchors_are_never_checked(self):
+        probs = [0.2, math.nan, 1.5, -math.inf]
+        labels = [1, -1, -1, -1]
+        assert anchor_classification_loss(probs, labels) == anchor_classification_loss([0.2], [1])
+
+
+_anchor_pairs = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from([-1, 0, 1])), max_size=64
+)
+
+
+class TestAnchorLossProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=_anchor_pairs, seed=st.integers(0, 2**32 - 1), junk=st.floats())
+    def test_permutation_and_ignored_probs_do_not_matter(self, pairs, seed, junk):
+        probs = [p for p, _ in pairs]
+        labels = [y for _, y in pairs]
+        base = anchor_classification_loss(probs, labels)
+        order = np.random.default_rng(seed).permutation(len(pairs))
+        permuted = anchor_classification_loss([probs[i] for i in order], [labels[i] for i in order])
+        assert permuted == pytest.approx(base, rel=1e-12, abs=0.0)
+        moved = [junk if y == -1 else p for p, y in pairs]
+        assert anchor_classification_loss(moved, labels) == base
