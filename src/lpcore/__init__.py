@@ -64,10 +64,10 @@ from .geometry import (
     Quad,
     RotatedBox,
     ScoredBox,
-    axis_aligned_iou,
     quad_to_rbox,
     rbox_to_quad,
     rotated_iou,
+    rotated_iou_matrix,
     rotated_nms,
 )
 from .losses import (

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AngleOutOfRangeError
-from .geometry import RotatedBox, rotated_iou
+from .geometry import RotatedBox, _box_array, _checked_box_array, _iou_matrix
 
 # Conventional single-stage defaults; the P3 stride with a wide 3:1 base
 # matches plate geometry. All are overridable call arguments.
@@ -58,22 +59,47 @@ class ShapeDelta:
                 raise ValueError(f"ShapeDelta.{name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorGrid:
-    """One axis-aligned anchor of size (base_w, base_h) per grid cell."""
+    """One axis-aligned anchor of size (base_w, base_h) per grid cell.
+
+    ``boxes`` is a read-only (grid_h * grid_w, 5) float64 array of anchor
+    (cx, cy, w, h, theta) rows in row-major cell order; the constructor keeps
+    its own copy. ``anchors`` is the same grid as RotatedBox objects, built on
+    first use.
+    """
 
     stride: int
     base_w: float
     base_h: float
     grid_h: int
     grid_w: int
-    anchors: tuple[RotatedBox, ...]
+    boxes: np.ndarray
 
     def __post_init__(self):
-        if len(self.anchors) != self.grid_h * self.grid_w:
+        boxes = np.array(_checked_box_array(self.boxes, "AnchorGrid.boxes"))
+        if boxes.shape != (self.grid_h * self.grid_w, 5):
             raise ValueError(
-                f"anchor count {len(self.anchors)} != grid {self.grid_h}x{self.grid_w}"
+                f"anchor array shape {boxes.shape} != ({self.grid_h * self.grid_w}, 5) "
+                f"for grid {self.grid_h}x{self.grid_w}"
             )
+        boxes.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
+
+    @cached_property
+    def anchors(self) -> tuple[RotatedBox, ...]:
+        return tuple(RotatedBox(*row) for row in self.boxes.tolist())
+
+    def _params(self) -> tuple:
+        return (self.stride, self.base_w, self.base_h, self.grid_h, self.grid_w)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnchorGrid):
+            return NotImplemented
+        return self._params() == other._params() and np.array_equal(self.boxes, other.boxes)
+
+    def __hash__(self):
+        return hash(self._params())
 
 
 @dataclass(frozen=True)
@@ -108,12 +134,15 @@ def generate_anchors(
     """Row-major grid; cell (i, j) gets an anchor at ((j+.5)s, (i+.5)s)."""
     if grid_h <= 0 or grid_w <= 0 or stride <= 0 or base_w <= 0 or base_h <= 0:
         raise ValueError("all anchor-grid parameters must be positive")
-    anchors = tuple(
-        RotatedBox((j + 0.5) * stride, (i + 0.5) * stride, base_w, base_h, 0.0)
-        for i in range(grid_h)
-        for j in range(grid_w)
+    cy, cx = np.meshgrid(
+        (np.arange(grid_h) + 0.5) * stride, (np.arange(grid_w) + 0.5) * stride, indexing="ij"
     )
-    return AnchorGrid(stride, base_w, base_h, grid_h, grid_w, anchors)
+    boxes = np.zeros((grid_h * grid_w, 5))
+    boxes[:, 0] = cx.ravel()
+    boxes[:, 1] = cy.ravel()
+    boxes[:, 2] = base_w
+    boxes[:, 3] = base_h
+    return AnchorGrid(stride, base_w, base_h, grid_h, grid_w, boxes)
 
 
 def assign_targets(
@@ -132,12 +161,14 @@ def assign_targets(
     """
     if not 0.0 <= neg_iou < pos_iou <= 1.0:
         raise ValueError(f"need 0 <= neg_iou < pos_iou <= 1, got ({pos_iou}, {neg_iou})")
-    n = len(grid.anchors)
+    n = len(grid.boxes)
     if not gts:
         return Assignment(
             np.full(n, NEGATIVE, dtype=np.int64), np.zeros(n), pos_iou, neg_iou
         )
-    iou = np.array([[rotated_iou(a, g) for g in gts] for a in grid.anchors])
+    # the grid's array was checked at construction and its boxes are built
+    # once per grid, so a call builds neither
+    iou = _iou_matrix(grid.boxes, _box_array(gts), grid.anchors, gts)
     best_gt = iou.argmax(axis=1)
     max_iou = iou.max(axis=1)
 

@@ -12,10 +12,17 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateQuadError
 
 # Quads with less area than this (in px^2) are rejected by quad_to_rbox.
 QUAD_AREA_EPS = 1e-6
+# RotatedBox sides must lie in [MIN_SIDE, MAX_SIDE]. Inside this range areas
+# and clipping products stay finite normal floats, so IoU keeps full
+# precision; past it a self-IoU reads 0.0 (1e+-200) or NaN (1e154).
+MIN_SIDE = 1e-150
+MAX_SIDE = 1e150
 
 _QUARTER_PI = math.pi / 4
 _HALF_PI = math.pi / 2
@@ -43,8 +50,11 @@ class RotatedBox:
                 raise ValueError(f"RotatedBox.{name} must be finite, got {v!r}")
             if f is not v:
                 object.__setattr__(self, name, f)
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"RotatedBox sides must be positive, got w={self.w}, h={self.h}")
+        if not (MIN_SIDE <= self.w <= MAX_SIDE and MIN_SIDE <= self.h <= MAX_SIDE):
+            raise ValueError(
+                f"RotatedBox sides must be in [{MIN_SIDE:g}, {MAX_SIDE:g}], "
+                f"got w={self.w}, h={self.h}"
+            )
         if not -_QUARTER_PI <= self.theta < _QUARTER_PI:
             w, h, theta = _fold_angle(self.w, self.h, self.theta)
             object.__setattr__(self, "w", w)
@@ -268,24 +278,62 @@ def rotated_iou(a: RotatedBox, b: RotatedBox) -> float:
     return min(inter / union, 1.0)
 
 
-def axis_aligned_iou(a: RotatedBox, b: RotatedBox) -> float:
-    """IoU of the boxes' axis-aligned corner hulls (loose matching mode)."""
+# rotated_iou_matrix keeps each pair whose centre distance is within this
+# factor of the summed circumradii: np.hypot and math.hypot may differ in the
+# last bit, and the prefilter must never drop a pair rotated_iou would clip.
+_REACH_SLACK = 1.0 + 1e-9
 
-    def bounds(box: RotatedBox) -> tuple[float, float, float, float]:
-        pts = rbox_to_quad(box).vertices
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        return min(xs), min(ys), max(xs), max(ys)
 
-    ax0, ay0, ax1, ay1 = bounds(a)
-    bx0, by0, bx1, by1 = bounds(b)
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return min(inter / union, 1.0) if union > 0.0 else 0.0
+def _box_array(boxes) -> np.ndarray:
+    """(N, 5) float64 array of the boxes' (cx, cy, w, h, theta) fields."""
+    rows = [(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes]
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
+
+
+def _checked_box_array(boxes, name: str) -> np.ndarray:
+    """``boxes`` as an (N, 5) float64 array; each row must be valid RotatedBox fields."""
+    arr = np.asarray(boxes)
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"{name} must be an (N, 5) real array, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    sides = arr[:, 2:4]
+    if not (np.isfinite(arr).all() and ((sides >= MIN_SIDE) & (sides <= MAX_SIDE)).all()):
+        raise ValueError(
+            f"{name} holds a non-finite field or a side outside [{MIN_SIDE:g}, {MAX_SIDE:g}]"
+        )
+    return arr
+
+
+def rotated_iou_matrix(a, b) -> np.ndarray:
+    """(N, M) matrix of ``rotated_iou`` between the rows of two box arrays.
+
+    ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta),
+    each row valid as RotatedBox fields. One vectorised circumcircle test, a
+    hair looser than rotated_iou's early-out, zeroes the disjoint pairs; every
+    other pair goes through ``rotated_iou`` itself, so each entry has exactly
+    its bits.
+    """
+    return _iou_matrix(_checked_box_array(a, "a"), _checked_box_array(b, "b"))
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray, boxes_a=None, boxes_b=None) -> np.ndarray:
+    """rotated_iou_matrix of checked arrays. ``boxes_a`` and ``boxes_b``, when
+    given, are the rows as RotatedBox objects; otherwise each row a surviving
+    pair needs is built from the array."""
+    with np.errstate(over="ignore"):  # centres far apart: inf distance, a zero
+        dx = b[:, 0] - a[:, 0, None]
+        dy = b[:, 1] - a[:, 1, None]
+        reach = 0.5 * np.hypot(a[:, 2], a[:, 3])[:, None] + 0.5 * np.hypot(b[:, 2], b[:, 3])
+        reach *= _REACH_SLACK
+        rows, cols = np.nonzero(dx * dx + dy * dy <= reach * reach)
+    if boxes_a is None:
+        boxes_a = {i: RotatedBox(*a[i].tolist()) for i in np.unique(rows).tolist()}
+    if boxes_b is None:
+        boxes_b = {j: RotatedBox(*b[j].tolist()) for j in np.unique(cols).tolist()}
+    out = np.zeros((len(a), len(b)))
+    pairs = zip(rows.tolist(), cols.tolist())
+    out[rows, cols] = [rotated_iou(boxes_a[i], boxes_b[j]) for i, j in pairs]
+    return out
 
 
 def rotated_nms(boxes: list[ScoredBox], iou_threshold: float) -> list[ScoredBox]:

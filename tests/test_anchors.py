@@ -42,12 +42,24 @@ def random_pair(rng):
     return b, g
 
 
+def _anchor_boxes(grid):
+    """The grid's anchors built here, one RotatedBox per cell in row-major order."""
+    s = grid.stride
+    return [
+        RotatedBox((j + 0.5) * s, (i + 0.5) * s, grid.base_w, grid.base_h, 0.0)
+        for i in range(grid.grid_h)
+        for j in range(grid.grid_w)
+    ]
+
+
 def _assign_reference(grid, gts, paths, pos_iou=0.5, neg_iou=0.4):
-    """gt_index of assign_targets with the force-match as a walk down the
-    sorted anchors; counts in ``paths`` which branch each force-match took."""
-    iou = np.array([[rotated_iou(a, g) for g in gts] for a in grid.anchors])
+    """(gt_index, max_iou) of assign_targets from a dense scalar IoU loop, with
+    the force-match as a walk down the sorted anchors; counts in ``paths``
+    which branch each force-match took."""
+    anchors = _anchor_boxes(grid)
+    iou = np.array([[rotated_iou(a, g) for g in gts] for a in anchors])
     max_iou = iou.max(axis=1)
-    gt_index = np.full(len(grid.anchors), NEGATIVE, dtype=np.int64)
+    gt_index = np.full(len(anchors), NEGATIVE, dtype=np.int64)
     gt_index[max_iou >= neg_iou] = IGNORE
     positive = max_iou >= pos_iou
     gt_index[positive] = iou.argmax(axis=1)[positive]
@@ -68,7 +80,7 @@ def _assign_reference(grid, gts, paths, pos_iou=0.5, neg_iou=0.4):
         if chosen >= 0:
             paths["free" if free else "steal"] += 1
             gt_index[chosen] = k
-    return gt_index
+    return gt_index, max_iou
 
 
 class TestGenerateAnchors:
@@ -102,7 +114,51 @@ class TestGenerateAnchors:
 
     def test_grid_count_invariant(self):
         with pytest.raises(ValueError):
-            AnchorGrid(8, 16.0, 8.0, 2, 2, (RotatedBox(1, 1, 1, 1),))
+            AnchorGrid(8, 16.0, 8.0, 2, 2, np.array([[1.0, 1.0, 1.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((4, 4)),
+            np.zeros(20),
+            np.array([["1", "1", "1", "1", "0"]] * 4),
+            np.array([[1.0, 1.0, 1.0, 1.0, math.nan]] * 4),
+            np.array([[1.0, 1.0, 0.0, 1.0, 0.0]] * 4),
+            np.array([[1.0, 1.0, 1.0, 1e200, 0.0]] * 4),
+        ],
+    )
+    def test_grid_rejects_bad_arrays(self, bad):
+        with pytest.raises(ValueError):
+            AnchorGrid(8, 16.0, 8.0, 2, 2, bad)
+
+    def test_array_is_a_read_only_copy(self):
+        boxes = np.array([[4.0, 4.0, 16.0, 8.0, 0.0]])
+        grid = AnchorGrid(8, 16.0, 8.0, 1, 1, boxes)
+        boxes[0, 0] = 99.0
+        assert grid.boxes[0, 0] == 4.0
+        with pytest.raises(ValueError):
+            grid.boxes[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 6, 3.0, 2.0), (5, 7, 8, 48.0, 16.0), (64, 64, 8, 48, 16)]
+    )
+    def test_anchors_equal_per_cell_boxes(self, shape):
+        grid = generate_anchors(*shape)
+        want = _anchor_boxes(grid)
+        assert grid.anchors == tuple(want)
+        assert grid.anchors is grid.anchors  # built once
+        for a, b in zip(grid.anchors, want):
+            assert all(type(getattr(a, f)) is float for f in ("cx", "cy", "w", "h", "theta"))
+            assert (a.cx, a.cy, a.w, a.h, a.theta) == (b.cx, b.cy, b.w, b.h, b.theta)
+        np.testing.assert_array_equal(grid.boxes, [[b.cx, b.cy, b.w, b.h, b.theta] for b in want])
+
+    def test_equality_and_hash(self):
+        a = generate_anchors(3, 4, 8, 16.0, 8.0)
+        b = generate_anchors(3, 4, 8, 16.0, 8.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != generate_anchors(3, 4, 8, 16.0, 9.0)
+        moved = AnchorGrid(8, 16.0, 8.0, 3, 4, a.boxes + 1.0)
+        assert a != moved
 
 
 class TestAssignTargets:
@@ -190,10 +246,12 @@ class TestAssignTargets:
             cases.append((grid, gts))
         paths = {"free": 0, "steal": 0}
         for grid, gts in cases:
-            want = _assign_reference(grid, gts, paths)
-            np.testing.assert_array_equal(assign_targets(grid, gts).gt_index, want)
+            want_index, want_iou = _assign_reference(grid, gts, paths)
+            got = assign_targets(grid, gts)
+            np.testing.assert_array_equal(got.gt_index, want_index)
+            assert got.max_iou.tolist() == want_iou.tolist()  # bit-exact, not approx
         assert paths["free"] > 0 and paths["steal"] > 0
-        np.testing.assert_array_equal(_assign_reference(*cases[0], paths), [1, 0])
+        np.testing.assert_array_equal(_assign_reference(*cases[0], paths)[0], [1, 0])
 
     def test_label_partition(self):
         grid = generate_anchors(4, 4, 8, 20.0, 10.0)

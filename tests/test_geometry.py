@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from lpcore.cli import iou_box_pairs
 from lpcore.errors import DegenerateQuadError
 from lpcore.geometry import (
+    MAX_SIDE,
+    MIN_SIDE,
     Quad,
     RotatedBox,
     ScoredBox,
     _clip_polygon,
     _shoelace,
-    axis_aligned_iou,
     quad_to_rbox,
     rbox_to_quad,
     rotated_iou,
+    rotated_iou_matrix,
     rotated_nms,
 )
 from lpcore.oracles import monte_carlo_iou
@@ -52,6 +54,23 @@ class TestRotatedBox:
             RotatedBox(0, 0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             RotatedBox(0, 0, 1.0, -2.0, 0.0)
+
+    @pytest.mark.parametrize("side", [1e200, 1e154, MAX_SIDE * 1.0000001, 1e-200, 1e-151])
+    def test_rejects_sides_outside_range(self, side):
+        with pytest.raises(ValueError, match="sides must be in"):
+            RotatedBox(0, 0, side, 1.0, 0.0)
+        with pytest.raises(ValueError, match="sides must be in"):
+            RotatedBox(0, 0, 1.0, side, 0.7)
+
+    @pytest.mark.parametrize("scale", [MIN_SIDE, MAX_SIDE])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7])
+    def test_iou_exact_at_range_ends(self, scale, theta):
+        # centres scaled with the box, so only the scale of the sides is tested
+        b = RotatedBox(3 * scale, -2 * scale, scale, scale * (2.0 if scale < 1 else 0.5), theta)
+        assert rotated_iou(b, b) == pytest.approx(1.0, abs=1e-12)
+        c, s = math.cos(b.theta), math.sin(b.theta)
+        shifted = RotatedBox(b.cx + 0.25 * b.w * c, b.cy + 0.25 * b.w * s, b.w, b.h, b.theta)
+        assert rotated_iou(b, shifted) == pytest.approx(0.6, abs=1e-12)
 
     def test_rejects_non_finite(self):
         non_finite = (math.nan, math.inf, -math.inf, np.float32("nan"), np.float64("inf"), 10**400)
@@ -316,16 +335,91 @@ class TestRotatedIouFastPath:
         assert abs(rotated_iou(moved(a), moved(b)) - v) < 1e-6
 
 
-class TestAxisAlignedIou:
-    def test_matches_rotated_for_axis_aligned(self):
-        a = RotatedBox(0.5, 0.5, 1, 1, 0)
-        b = RotatedBox(1.0, 0.5, 1, 1, 0)
-        assert axis_aligned_iou(a, b) == pytest.approx(rotated_iou(a, b), abs=1e-12)
+def box_rows(boxes):
+    return np.array([[b.cx, b.cy, b.w, b.h, b.theta] for b in boxes], dtype=float).reshape(-1, 5)
 
-    def test_hulls_overstate_crossing_bars(self):
-        a = RotatedBox(0, 0, 10, 2, math.pi / 4 - 1e-6)
-        b = RotatedBox(0, 0, 10, 2, -math.pi / 4 + 1e-6)
-        assert axis_aligned_iou(a, b) > rotated_iou(a, b)
+
+def assert_matrix_is_scalar(rows_a, rows_b):
+    """Every entry of rotated_iou_matrix equals rotated_iou of the rows' boxes."""
+    got = rotated_iou_matrix(rows_a, rows_b)
+    assert got.shape == (len(rows_a), len(rows_b)) and got.dtype == np.float64
+    boxes_b = [RotatedBox(*r) for r in rows_b.tolist()]
+    for i, ra in enumerate(rows_a.tolist()):
+        a = RotatedBox(*ra)
+        for j, b in enumerate(boxes_b):
+            assert got[i, j] == rotated_iou(a, b), (ra, rows_b[j])  # bits, not approx
+    return got
+
+
+def raw_rows(max_center=60.0):
+    """Box rows with any angle, so some need RotatedBox's folding."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    row = st.tuples(
+        st.floats(-max_center, max_center, **finite),
+        st.floats(-max_center, max_center, **finite),
+        st.floats(0.5, 40.0, **finite),
+        st.floats(0.5, 40.0, **finite),
+        st.floats(-4.0, 4.0, **finite),
+    )
+    return st.lists(row, max_size=8).map(lambda r: np.array(r, dtype=float).reshape(-1, 5))
+
+
+class TestRotatedIouMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rboxes(), max_size=8), st.lists(rboxes(), max_size=8))
+    def test_equals_scalar_on_drawn_boxes(self, a, b):
+        assert_matrix_is_scalar(box_rows(a), box_rows(b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_rows(), raw_rows())
+    def test_equals_scalar_on_unfolded_rows(self, a, b):
+        assert_matrix_is_scalar(a, b)
+
+    def test_equals_scalar_on_wide_range_pairs(self):
+        pairs = wide_range_pairs(2000, seed=41) + wide_range_pairs(4000, seed=43, reach=(-12, 12))
+        nonzero = 0
+        for k in range(0, len(pairs), 40):  # 40x40 blocks: the pairs and every cross pair
+            block = pairs[k : k + 40]
+            rows_a, rows_b = box_rows(a for a, _ in block), box_rows(b for _, b in block)
+            got = assert_matrix_is_scalar(rows_a, rows_b)
+            nonzero += int(np.count_nonzero(got))
+        assert nonzero > 1000
+
+    def test_grid_against_plates(self):
+        rng = np.random.default_rng(17)
+        ys, xs = np.meshgrid(np.arange(24) * 8.0 + 4.0, np.arange(24) * 8.0 + 4.0, indexing="ij")
+        grid = np.zeros((576, 5))
+        grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3] = xs.ravel(), ys.ravel(), 48.0, 16.0
+        plates = box_rows(random_box(rng, span=90.0) for _ in range(12)) + [96.0, 96.0, 0, 0, 0]
+        plates[:, 2:4] *= 6.0
+        got = assert_matrix_is_scalar(grid, plates)
+        assert 0 < np.count_nonzero(got) < got.size
+
+    def test_empty_and_disjoint(self):
+        one = np.array([[0.0, 0.0, 2.0, 1.0, 0.2]])
+        assert rotated_iou_matrix(np.zeros((0, 5)), one).shape == (0, 1)
+        assert rotated_iou_matrix(one, np.zeros((0, 5))).shape == (1, 0)
+        far = np.array([[1e308, -1e308, 2.0, 1.0, 0.0], [-1e308, 1e308, 2.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(rotated_iou_matrix(far, far), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((2, 4)),
+            np.zeros(5),
+            [["0", "0", "1", "1", "0"]],
+            [[0.0, 0.0, 1.0, 1.0, math.inf]],
+            [[math.nan, 0.0, 1.0, 1.0, 0.0]],
+            [[0.0, 0.0, -1.0, 1.0, 0.0]],
+            [[0.0, 0.0, 1.0, 1e200, 0.0]],
+        ],
+    )
+    def test_rejects_bad_rows(self, bad):
+        good = np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError):
+            rotated_iou_matrix(bad, good)
+        with pytest.raises(ValueError):
+            rotated_iou_matrix(good, bad)
 
 
 class TestRotatedNms:
