@@ -154,10 +154,17 @@ def assign_targets(
     """Threshold assignment plus a best-anchor force-match per ground truth.
 
     Anchors at IoU >= pos_iou take their best ground truth; anchors below
-    neg_iou are negative; the band between is ignored. A ground truth left
-    without any positive anchor claims its highest-IoU anchor as long as
-    that IoU is nonzero (preferring anchors another gt has not taken), so
-    small plates still train.
+    neg_iou are negative; the band between is ignored. Then, in index order,
+    each ground truth left without a positive anchor is force-matched so
+    small plates still train:
+
+    - it takes its highest-IoU free (negative or ignored) anchor with IoU > 0;
+    - failing that, it takes its highest-IoU anchor held by another ground
+      truth that keeps at least one other positive anchor;
+    - failing that, it stays unmatched.
+
+    So a force-match never leaves a ground truth that had a positive anchor
+    without one. Ties in IoU go to the lower anchor index.
     """
     if not 0.0 <= neg_iou < pos_iou <= 1.0:
         raise ValueError(f"need 0 <= neg_iou < pos_iou <= 1, got ({pos_iou}, {neg_iou})")
@@ -176,19 +183,26 @@ def assign_targets(
     gt_index[max_iou >= neg_iou] = IGNORE
     positive = max_iou >= pos_iou
     gt_index[positive] = best_gt[positive]
+    positives = np.bincount(best_gt[positive], minlength=len(gts))
 
-    # Force-match: a gt that ended up with no positive anchor claims its
-    # best-IoU anchor, preferring anchors not already holding another gt.
-    # If every overlapping anchor is taken, it steals the best one anyway.
     for k in range(len(gts)):
-        if np.any(gt_index == k):
+        if positives[k]:
             continue
         col = iou[:, k]
         order = np.argsort(-col, kind="stable")
         order = order[col[order] > 0.0]
-        if order.size:
-            free = order[gt_index[order] < 0]
-            gt_index[free[0] if free.size else order[0]] = k
+        holder = gt_index[order]
+        free = order[holder < 0]
+        if free.size:
+            a = free[0]
+        else:  # every overlapping anchor is held: take one only from a spare
+            spare = order[positives[holder] > 1]
+            if not spare.size:
+                continue
+            a = spare[0]
+            positives[gt_index[a]] -= 1
+        gt_index[a] = k
+        positives[k] += 1
     return Assignment(gt_index, max_iou, pos_iou, neg_iou)
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from lpcore.errors import AngleOutOfRangeError
 from lpcore.geometry import RotatedBox, rotated_iou
 
 QUARTER_PI = math.pi / 4
+
+# A 48x16 plate exactly on a 1x1 grid's anchor and a 2x2 plate at the same centre.
+ORPHAN_CASE = [RotatedBox(4.0, 4.0, 48.0, 16.0, 0.0), RotatedBox(4.0, 4.0, 2.0, 2.0, 0.0)]
 
 
 def random_pair(rng):
@@ -52,10 +56,12 @@ def _anchor_boxes(grid):
     ]
 
 
-def _assign_reference(grid, gts, paths, pos_iou=0.5, neg_iou=0.4):
+def _assign_reference(grid, gts, paths, keep_others=True, pos_iou=0.5, neg_iou=0.4):
     """(gt_index, max_iou) of assign_targets from a dense scalar IoU loop, with
-    the force-match as a walk down the sorted anchors; counts in ``paths``
-    which branch each force-match took."""
+    the force-match as a walk down the sorted anchors. ``keep_others=False``
+    walks the earlier rule, which stole the best held anchor even from a plate
+    it left with none. ``paths`` counts each force-match's branch: "free",
+    "steal", or "orphan" for a steal that left its plate with no positive."""
     anchors = _anchor_boxes(grid)
     iou = np.array([[rotated_iou(a, g) for g in gts] for a in anchors])
     max_iou = iou.max(axis=1)
@@ -67,18 +73,19 @@ def _assign_reference(grid, gts, paths, pos_iou=0.5, neg_iou=0.4):
         if np.any(gt_index == k):
             continue
         col = iou[:, k]
-        chosen = -1
-        free = False
+        chosen, branch = -1, None
         for a in np.argsort(-col, kind="stable"):
             if col[a] <= 0.0:
                 break
             if gt_index[a] < 0:
-                chosen, free = int(a), True
+                chosen, branch = int(a), "free"
                 break
             if chosen == -1:
-                chosen = int(a)  # fallback: steal the overall best
+                spare = np.count_nonzero(gt_index == gt_index[a]) > 1
+                if spare or not keep_others:  # fallback: the best held anchor allowed
+                    chosen, branch = int(a), "steal" if spare else "orphan"
         if chosen >= 0:
-            paths["free" if free else "steal"] += 1
+            paths[branch] += 1
             gt_index[chosen] = k
     return gt_index, max_iou
 
@@ -244,14 +251,69 @@ class TestAssignTargets:
                 for _ in range(int(rng.integers(1, 7)))
             ]
             cases.append((grid, gts))
-        paths = {"free": 0, "steal": 0}
+        orphaning = (generate_anchors(1, 1, 8, 48.0, 16.0), ORPHAN_CASE)
+        cases.append(orphaning)
+        paths = Counter()
+        changed = []
         for grid, gts in cases:
             want_index, want_iou = _assign_reference(grid, gts, paths)
             got = assign_targets(grid, gts)
             np.testing.assert_array_equal(got.gt_index, want_index)
             assert got.max_iou.tolist() == want_iou.tolist()  # bit-exact, not approx
-        assert paths["free"] > 0 and paths["steal"] > 0
+            # the earlier rule gives the same labels wherever it orphaned no plate
+            earlier = Counter()
+            earlier_index, _ = _assign_reference(grid, gts, earlier, keep_others=False)
+            if earlier["orphan"]:
+                changed.append((earlier_index.tolist(), want_index.tolist()))
+            else:
+                np.testing.assert_array_equal(earlier_index, want_index)
+        assert paths["free"] > 0 and paths["steal"] > 0 and paths["orphan"] == 0
         np.testing.assert_array_equal(_assign_reference(*cases[0], paths)[0], [1, 0])
+        assert changed == [([1], [0])]
+
+    def test_force_match_never_orphans_a_plate(self):
+        # the large plate holds the only anchor at IoU 1.0; the small one
+        # overlaps it too but may not take it, and stays unmatched
+        grid = generate_anchors(1, 1, 8, 48.0, 16.0)
+        out = assign_targets(grid, ORPHAN_CASE)
+        np.testing.assert_array_equal(out.gt_index, [0])
+        assert out.max_iou[0] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(
+            st.builds(
+                RotatedBox,
+                cx=st.floats(0.0, 32.0),
+                cy=st.floats(0.0, 32.0),
+                w=st.floats(1.0, 60.0),
+                h=st.floats(1.0, 24.0),
+                theta=st.floats(-0.7, 0.7),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_no_force_match_leaves_a_plate_without_positives(self, grid_h, grid_w, gts):
+        grid = generate_anchors(grid_h, grid_w, 8, 48.0, 16.0)
+        out = assign_targets(grid, gts)
+        iou = np.array([[rotated_iou(a, g) for g in gts] for a in _anchor_boxes(grid)])
+        thresholded = np.where(iou.max(axis=1) >= 0.5, iou.argmax(axis=1), -1)
+        counts = np.bincount(out.gt_index[out.positive_mask], minlength=len(gts))
+        # every plate positive after thresholding stays positive
+        assert all(counts[k] >= 1 for k in set(thresholded[thresholded >= 0].tolist()))
+        # each force-match moves one anchor to a plate that had none and now
+        # has exactly that one; none of them took a plate's last positive
+        moved = np.flatnonzero((out.gt_index >= 0) & (out.gt_index != thresholded))
+        takers = out.gt_index[moved]
+        assert len(set(takers.tolist())) == len(takers) and np.all(counts[takers] == 1)
+        assert not np.isin(takers, thresholded).any()
+        assert np.count_nonzero(counts) == len(set(thresholded.tolist()) - {-1}) + len(takers)
+        # a plate left without a positive found every overlapping anchor held
+        for k in np.flatnonzero(counts == 0):
+            assert np.all(out.gt_index[iou[:, k] > 0.0] >= 0)
 
     def test_label_partition(self):
         grid = generate_anchors(4, 4, 8, 20.0, 10.0)
