@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output directory")
 
     p_bench = sub.add_parser("bench", help="micro-benchmarks of the core ops")
-    p_bench.add_argument("--size", type=int, action="append", default=None)
+    p_bench.add_argument(
+        "--size", type=int, action="append", default=None, help="problem size (positive)"
+    )
     return parser
 
 
@@ -378,6 +380,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "evaluate" and not 0.0 <= args.iou <= 1.0:
         parser.error(f"argument --iou: must be in [0, 1], got {args.iou}")
+    if args.command == "bench" and any(size <= 0 for size in args.size or ()):
+        parser.error(f"argument --size: must be positive, got {min(args.size)}")
     try:
         if args.command == "evaluate":
             cmd_evaluate(

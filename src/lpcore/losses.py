@@ -124,12 +124,17 @@ def anchor_classification_loss(
     Labels are 1 / 0 / -1; anchors labelled -1 are ignored, whatever their
     probability. Any other anchor must have p in [0, 1] and a label in
     {0, 1}; the first one that does not raises the error focal_loss would.
+    Probabilities must be real numbers: a string or None anywhere raises
+    TypeError.
     """
     if len(probs) != len(labels):
         raise ValueError("probs and labels length mismatch")
     y = np.asarray(labels, dtype=np.float64)
     used = y != -1
-    p = np.asarray(probs, dtype=np.float64)[used]
+    p = np.asarray(probs)
+    if p.dtype.kind not in "biuf":
+        raise TypeError(f"probabilities must be real numbers, got an array of {p.dtype}")
+    p = p.astype(np.float64, copy=False)[used]
     y = y[used]
     bad = ~((p >= 0.0) & (p <= 1.0)) | ~((y == 0) | (y == 1))
     if bad.any():

@@ -234,3 +234,15 @@ class TestBench:
     def test_multiple_sizes(self):
         rows = cli.cmd_bench([2, 4], out=io.StringIO())
         assert len(rows) == 2 * len(cli.BENCH_OPS)
+
+    @pytest.mark.parametrize("sizes", [["0"], ["-3"], ["4", "-1"]])
+    def test_nonpositive_size_exits_2(self, capsys, sizes):
+        argv = ["bench"]
+        for size in sizes:
+            argv += ["--size", size]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --size: must be positive" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

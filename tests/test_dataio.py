@@ -138,6 +138,14 @@ class TestPredictionFiles:
             parse_predictions(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("w, h", [("1e200", "2"), ("1e154", "2"), ("5", "1e-200")])
+    def test_side_outside_range_rejected(self, tmp_path, w, h):
+        path = tmp_path / "pred.txt"
+        path.write_text(f"img,0.5,1,1,2,1,0,A\nimg,0.9,10,10,{w},{h},0,京A12345\n", "utf-8")
+        with pytest.raises(ParseError, match="sides must be in") as err:
+            parse_predictions(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("score", ["nan", "7.5", "-0.1", "inf", "-inf"])
     def test_score_outside_unit_interval_rejected(self, tmp_path, score):
         path = tmp_path / "pred.txt"

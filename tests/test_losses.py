@@ -261,6 +261,14 @@ class TestAgainstScalarReference:
             anchor_classification_loss(probs, labels)
         assert got.type is want.type
 
+    @pytest.mark.parametrize(
+        "probs, labels",
+        [(["0.5", 0.2], [1, 0]), ([0.2, "0.5"], [1, -1]), ([None, 0.2], [0, 1]), (["x"], [1])],
+    )
+    def test_non_numeric_probabilities_raise_type_error(self, probs, labels):
+        with pytest.raises(TypeError):
+            anchor_classification_loss(probs, labels)
+
     def test_ignored_anchors_are_never_checked(self):
         probs = [0.2, math.nan, 1.5, -math.inf]
         labels = [1, -1, -1, -1]
