@@ -50,13 +50,10 @@ from .feature_ops import (
     CropSpec,
     FeatureMap,
     LstmParams,
-    RecognitionHeadConfig,
-    bilinear_sample,
     bilstm_forward,
     conv2d_forward,
     deformable_conv2d_forward,
     roi_align,
-    roi_pool,
     rroi_align,
     training_crop_boxes,
 )

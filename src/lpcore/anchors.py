@@ -8,7 +8,7 @@ safe because canonical boxes keep |theta| <= pi/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -59,14 +59,14 @@ class ShapeDelta:
                 raise ValueError(f"ShapeDelta.{name} must be finite")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AnchorGrid:
     """One axis-aligned anchor of size (base_w, base_h) per grid cell.
 
-    ``boxes`` is a read-only (grid_h * grid_w, 5) float64 array of anchor
-    (cx, cy, w, h, theta) rows in row-major cell order; the constructor keeps
-    its own copy. ``anchors`` is the same grid as RotatedBox objects, built on
-    first use.
+    ``boxes`` is the read-only (grid_h * grid_w, 5) float64 array of anchor
+    (cx, cy, w, h, theta) rows in row-major cell order, built from the five
+    parameters: cell (i, j) gets an anchor at ((j+.5)s, (i+.5)s). ``anchors``
+    is the same grid as RotatedBox objects, built on first use.
     """
 
     stride: int
@@ -74,32 +74,28 @@ class AnchorGrid:
     base_h: float
     grid_h: int
     grid_w: int
-    boxes: np.ndarray
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        boxes = np.array(_checked_box_array(self.boxes, "AnchorGrid.boxes"))
-        if boxes.shape != (self.grid_h * self.grid_w, 5):
-            raise ValueError(
-                f"anchor array shape {boxes.shape} != ({self.grid_h * self.grid_w}, 5) "
-                f"for grid {self.grid_h}x{self.grid_w}"
-            )
+        grid_h, grid_w, stride = self.grid_h, self.grid_w, self.stride
+        if grid_h <= 0 or grid_w <= 0 or stride <= 0 or self.base_w <= 0 or self.base_h <= 0:
+            raise ValueError("all anchor-grid parameters must be positive")
+        cy, cx = np.meshgrid(
+            (np.arange(grid_h) + 0.5) * stride, (np.arange(grid_w) + 0.5) * stride, indexing="ij"
+        )
+        boxes = np.zeros((grid_h * grid_w, 5))
+        boxes[:, 0] = cx.ravel()
+        boxes[:, 1] = cy.ravel()
+        boxes[:, 2] = self.base_w
+        boxes[:, 3] = self.base_h
+        # a non-finite or out-of-range parameter shows as a bad row
+        _checked_box_array(boxes, "AnchorGrid.boxes")
         boxes.flags.writeable = False
         object.__setattr__(self, "boxes", boxes)
 
     @cached_property
     def anchors(self) -> tuple[RotatedBox, ...]:
         return tuple(RotatedBox(*row) for row in self.boxes.tolist())
-
-    def _params(self) -> tuple:
-        return (self.stride, self.base_w, self.base_h, self.grid_h, self.grid_w)
-
-    def __eq__(self, other):
-        if not isinstance(other, AnchorGrid):
-            return NotImplemented
-        return self._params() == other._params() and np.array_equal(self.boxes, other.boxes)
-
-    def __hash__(self):
-        return hash(self._params())
 
 
 @dataclass(frozen=True)
@@ -131,18 +127,8 @@ def generate_anchors(
     base_w: float = DEFAULT_BASE_W,
     base_h: float = DEFAULT_BASE_H,
 ) -> AnchorGrid:
-    """Row-major grid; cell (i, j) gets an anchor at ((j+.5)s, (i+.5)s)."""
-    if grid_h <= 0 or grid_w <= 0 or stride <= 0 or base_w <= 0 or base_h <= 0:
-        raise ValueError("all anchor-grid parameters must be positive")
-    cy, cx = np.meshgrid(
-        (np.arange(grid_h) + 0.5) * stride, (np.arange(grid_w) + 0.5) * stride, indexing="ij"
-    )
-    boxes = np.zeros((grid_h * grid_w, 5))
-    boxes[:, 0] = cx.ravel()
-    boxes[:, 1] = cy.ravel()
-    boxes[:, 2] = base_w
-    boxes[:, 3] = base_h
-    return AnchorGrid(stride, base_w, base_h, grid_h, grid_w, boxes)
+    """The anchor grid of these parameters; see AnchorGrid."""
+    return AnchorGrid(stride, base_w, base_h, grid_h, grid_w)
 
 
 def assign_targets(

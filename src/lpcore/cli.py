@@ -382,6 +382,10 @@ def main(argv=None) -> int:
         parser.error(f"argument --iou: must be in [0, 1], got {args.iou}")
     if args.command == "bench" and any(size <= 0 for size in args.size or ()):
         parser.error(f"argument --size: must be positive, got {min(args.size)}")
+    if args.command == "synth" and not math.isfinite(args.noise):
+        parser.error(f"argument --noise: must be finite, got {args.noise}")
+    if args.command == "synth" and min(args.seed, args.n) < 0:
+        parser.error(f"arguments --seed and --n: must be non-negative, got {args.seed}, {args.n}")
     try:
         if args.command == "evaluate":
             cmd_evaluate(

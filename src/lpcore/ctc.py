@@ -81,8 +81,11 @@ def save_alphabet(path, alphabet: Alphabet) -> None:
 
 
 def load_alphabet(path) -> Alphabet:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
     if not lines or lines[0] != BLANK_MARKER:
         raise ParseError(f"first line must be {BLANK_MARKER!r}", path=str(path), line=1)
     symbols = []

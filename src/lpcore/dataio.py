@@ -20,7 +20,7 @@ import numpy as np
 from .ctc import DEFAULT_SYMBOLS, PROVINCES
 from .errors import ParseError
 from .geometry import Quad, RotatedBox
-from .spotting import SpottingItem, SpottingRecord
+from .spotting import SpottingItem, SpottingRecord, is_unidentifiable
 
 
 class PlateType(Enum):
@@ -44,7 +44,7 @@ class Annotation:
 
     @property
     def unidentifiable(self) -> bool:
-        return "*" in self.content
+        return is_unidentifiable(self.content)
 
 
 def parse_annotation_file(path) -> list[Annotation]:
@@ -53,34 +53,37 @@ def parse_annotation_file(path) -> list[Annotation]:
     Degenerate vertex sets propagate as DegenerateQuadError.
     """
     out: list[Annotation] = []
-    with open(path, encoding="utf-8") as f:
-        for no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 10:
-                raise ParseError(
-                    f"expected 10 comma-separated fields, got {len(fields)}",
-                    path=str(path),
-                    line=no,
+    try:
+        with open(path, encoding="utf-8") as f:
+            for no, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != 10:
+                    raise ParseError(
+                        f"expected 10 comma-separated fields, got {len(fields)}",
+                        path=str(path),
+                        line=no,
+                    )
+                try:
+                    coords = [float(v) for v in fields[:8]]
+                except ValueError:
+                    raise ParseError("non-numeric vertex coordinate", path=str(path), line=no)
+                content = fields[8]
+                if not content:
+                    raise ParseError("empty content field", path=str(path), line=no)
+                try:
+                    lp_type = PlateType(fields[9])
+                except ValueError:
+                    raise ParseError(f"unknown plate type {fields[9]!r}", path=str(path), line=no)
+                quad = Quad(
+                    ((coords[0], coords[1]), (coords[2], coords[3]),
+                     (coords[4], coords[5]), (coords[6], coords[7]))
                 )
-            try:
-                coords = [float(v) for v in fields[:8]]
-            except ValueError:
-                raise ParseError("non-numeric vertex coordinate", path=str(path), line=no)
-            content = fields[8]
-            if not content:
-                raise ParseError("empty content field", path=str(path), line=no)
-            try:
-                lp_type = PlateType(fields[9])
-            except ValueError:
-                raise ParseError(f"unknown plate type {fields[9]!r}", path=str(path), line=no)
-            quad = Quad(
-                ((coords[0], coords[1]), (coords[2], coords[3]),
-                 (coords[4], coords[5]), (coords[6], coords[7]))
-            )
-            out.append(Annotation(quad, content, lp_type))
+                out.append(Annotation(quad, content, lp_type))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
     return out
 
 
@@ -111,39 +114,42 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
     With ground_truth, every score field must be empty.
     """
     grouped: dict[str, list[SpottingItem]] = {}
-    with open(path, encoding="utf-8") as f:
-        for no, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if len(fields) != 8:
-                raise ParseError(
-                    f"expected 8 comma-separated fields, got {len(fields)}",
-                    path=str(path),
-                    line=no,
-                )
-            image_id = fields[0]
-            if not image_id:
-                raise ParseError("empty image_id", path=str(path), line=no)
-            if ground_truth and fields[1]:
-                raise ParseError(
-                    f"ground-truth score field must be empty, got {fields[1]!r}",
-                    path=str(path),
-                    line=no,
-                )
-            try:
-                score = None if fields[1] == "" else float(fields[1])
-                nums = [float(v) for v in fields[2:7]]
-            except ValueError:
-                raise ParseError("non-numeric box field", path=str(path), line=no)
-            if score is not None and not 0.0 <= score <= 1.0:
-                raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
-            try:
-                box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
-            except ValueError as exc:
-                raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
-            grouped.setdefault(image_id, []).append(SpottingItem(box, fields[7], score))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for no, raw in enumerate(f, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                fields = line.split(",")
+                if len(fields) != 8:
+                    raise ParseError(
+                        f"expected 8 comma-separated fields, got {len(fields)}",
+                        path=str(path),
+                        line=no,
+                    )
+                image_id = fields[0]
+                if not image_id:
+                    raise ParseError("empty image_id", path=str(path), line=no)
+                if ground_truth and fields[1]:
+                    raise ParseError(
+                        f"ground-truth score field must be empty, got {fields[1]!r}",
+                        path=str(path),
+                        line=no,
+                    )
+                try:
+                    score = None if fields[1] == "" else float(fields[1])
+                    nums = [float(v) for v in fields[2:7]]
+                except ValueError:
+                    raise ParseError("non-numeric box field", path=str(path), line=no)
+                if score is not None and not 0.0 <= score <= 1.0:
+                    raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
+                try:
+                    box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
+                except ValueError as exc:
+                    raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
+                grouped.setdefault(image_id, []).append(SpottingItem(box, fields[7], score))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
     return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
 
 

@@ -1,4 +1,4 @@
-"""Dense feature-map operators: bilinear sampling, region cropping,
+"""Dense feature-map operators: region cropping by bilinear sampling,
 standard/deformable convolution, and a minimal bidirectional LSTM forward.
 
 Feature maps are (channels, height, width) float64 arrays. Sampling uses
@@ -42,19 +42,6 @@ class FeatureMap:
     def width(self) -> int:
         return self.data.shape[2]
 
-    @classmethod
-    def from_flat(cls, channels: int, height: int, width: int, values) -> "FeatureMap":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size != channels * height * width:
-            raise ShapeMismatchError(
-                f"{arr.size} values cannot fill {channels}x{height}x{width}"
-            )
-        return cls(arr.reshape(channels, height, width))
-
-    @classmethod
-    def zeros(cls, channels: int, height: int, width: int) -> "FeatureMap":
-        return cls(np.zeros((channels, height, width)))
-
 
 @dataclass(frozen=True)
 class CropSpec:
@@ -67,16 +54,6 @@ class CropSpec:
     def __post_init__(self):
         if self.out_h <= 0 or self.out_w <= 0 or self.sampling_ratio <= 0:
             raise ValueError("CropSpec fields must be positive")
-
-
-@dataclass(frozen=True)
-class RecognitionHeadConfig:
-    """Recognition-branch layout defaults (counts fixed, rest tunable)."""
-
-    num_residual_blocks: int = 4
-    num_deformable_layers: int = 2
-    crop: CropSpec = CropSpec()
-    crop_score_thresh: float = 0.9
 
 
 def training_crop_boxes(
@@ -115,16 +92,6 @@ def _bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return np.einsum("ckn,kn->cn", data.reshape(c, h * w)[:, flat], wgt)
 
 
-def bilinear_sample(fm: FeatureMap, x: float, y: float, channel: int) -> float:
-    """Bilinear interpolation of one channel at (x, y), zero-padded."""
-    if not 0 <= channel < fm.channels:
-        raise ShapeMismatchError(f"channel {channel} out of range [0, {fm.channels})")
-    val = _bilinear_gather(
-        fm.data[channel : channel + 1], np.array([float(x)]), np.array([float(y)])
-    )
-    return float(val[0, 0])
-
-
 def _subsample_fractions(out_len: int, ratio: int) -> np.ndarray:
     """Sample positions along one box axis, as fractions of the box side."""
     return (np.arange(out_len * ratio) + 0.5) / ratio / out_len
@@ -151,14 +118,10 @@ def rroi_align(fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec()) -> 
     return FeatureMap(samples.mean(axis=(2, 4)))
 
 
-def _require_axis_aligned(box: RotatedBox, op: str) -> None:
-    if box.theta != 0.0:
-        raise ValueError(f"{op} requires theta == 0, got {box.theta}")
-
-
 def roi_align(fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec()) -> FeatureMap:
     """Axis-aligned crop: per-cell average of bilinear samples."""
-    _require_axis_aligned(box, "roi_align")
+    if box.theta != 0.0:
+        raise ValueError(f"roi_align requires theta == 0, got {box.theta}")
     r = spec.sampling_ratio
     xs = box.cx - box.w / 2.0 + _subsample_fractions(spec.out_w, r) * box.w
     ys = box.cy - box.h / 2.0 + _subsample_fractions(spec.out_h, r) * box.h
@@ -166,40 +129,6 @@ def roi_align(fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec()) -> F
     samples = _bilinear_gather(fm.data, gx.ravel(), gy.ravel())
     samples = samples.reshape(fm.channels, spec.out_h, r, spec.out_w, r)
     return FeatureMap(samples.mean(axis=(2, 4)))
-
-
-def roi_pool(fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec()) -> FeatureMap:
-    """Axis-aligned max pooling over quantized bins (no interpolation).
-
-    The box is snapped to the pixel window it covers (pixel i spans
-    [i-0.5, i+0.5]); bins partition that window and take per-bin maxima.
-    Bins of a window clipped to nothing yield zero.
-    """
-    _require_axis_aligned(box, "roi_pool")
-    col0 = int(np.floor(box.cx - box.w / 2.0 + 0.5))
-    col1 = int(np.floor(box.cx + box.w / 2.0 + 0.5)) - 1
-    row0 = int(np.floor(box.cy - box.h / 2.0 + 0.5))
-    row1 = int(np.floor(box.cy + box.h / 2.0 + 0.5)) - 1
-    col0, col1 = max(col0, 0), min(col1, fm.width - 1)
-    row0, row1 = max(row0, 0), min(row1, fm.height - 1)
-    out = np.zeros((fm.channels, spec.out_h, spec.out_w))
-    if col1 < col0 or row1 < row0:
-        return FeatureMap(out)
-    nx = col1 - col0 + 1
-    ny = row1 - row0 + 1
-
-    def bin_edges(n: int, bins: int, j: int) -> tuple[int, int]:
-        lo = (j * n) // bins
-        hi = -((-(j + 1) * n) // bins)
-        return lo, max(hi, lo + 1)
-
-    for i in range(spec.out_h):
-        ry0, ry1 = bin_edges(ny, spec.out_h, i)
-        for j in range(spec.out_w):
-            rx0, rx1 = bin_edges(nx, spec.out_w, j)
-            patch = fm.data[:, row0 + ry0 : row0 + ry1, col0 + rx0 : col0 + rx1]
-            out[:, i, j] = patch.max(axis=(1, 2))
-    return FeatureMap(out)
 
 
 def _conv_out_dims(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:

@@ -173,7 +173,8 @@ def quad_to_rbox(q: Quad) -> RotatedBox:
     """Minimum-area enclosing rotated rectangle of the quad's vertices.
 
     Rotating calipers over the convex hull: the optimal rectangle has one
-    side collinear with a hull edge.
+    side collinear with a hull edge. Raises DegenerateQuadError for an area
+    below QUAD_AREA_EPS, collinear vertices, or a side outside [MIN_SIDE, MAX_SIDE].
     """
     if q.area < QUAD_AREA_EPS:
         raise DegenerateQuadError(f"quad area {q.area:g} below {QUAD_AREA_EPS:g}")
@@ -202,7 +203,10 @@ def quad_to_rbox(q: Quad) -> RotatedBox:
             cy = cu * uy + cv * ux
             best = (area, cx, cy, w, h, math.atan2(uy, ux))
     assert best is not None
-    box = RotatedBox(best[1], best[2], best[3], best[4], best[5])
+    try:
+        box = RotatedBox(best[1], best[2], best[3], best[4], best[5])
+    except ValueError as exc:
+        raise DegenerateQuadError(f"enclosing rectangle is not a valid box: {exc}") from None
     # A rectangle at exactly -pi/4 can read as just under +pi/4 after rounding;
     # both name the same rectangle, and -pi/4 is the closed end of the range.
     if box.theta >= _QUARTER_PI - _ANGLE_SNAP:

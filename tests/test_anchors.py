@@ -120,29 +120,28 @@ class TestGenerateAnchors:
             generate_anchors(2, 2, 8, -1.0, 8.0)
 
     def test_grid_count_invariant(self):
-        with pytest.raises(ValueError):
-            AnchorGrid(8, 16.0, 8.0, 2, 2, np.array([[1.0, 1.0, 1.0, 1.0, 0.0]]))
+        for shape in ((1, 1), (3, 5), (7, 2)):
+            assert generate_anchors(*shape).boxes.shape == (shape[0] * shape[1], 5)
 
     @pytest.mark.parametrize(
         "bad",
         [
-            np.zeros((4, 4)),
-            np.zeros(20),
-            np.array([["1", "1", "1", "1", "0"]] * 4),
-            np.array([[1.0, 1.0, 1.0, 1.0, math.nan]] * 4),
-            np.array([[1.0, 1.0, 0.0, 1.0, 0.0]] * 4),
-            np.array([[1.0, 1.0, 1.0, 1e200, 0.0]] * 4),
+            (2, 2, 8, math.nan, 8.0),
+            (2, 2, 8, math.inf, 8.0),
+            (2, 2, math.nan, 16.0, 8.0),
+            (2, 2, 8, 16.0, 1e200),
+            (2, 2, 8, 16.0, 1e-200),
+            (2, 2, 1.5e308, 16.0, 8.0),  # the second centre, 2.25e308, overflows
         ],
     )
     def test_grid_rejects_bad_arrays(self, bad):
-        with pytest.raises(ValueError):
-            AnchorGrid(8, 16.0, 8.0, 2, 2, bad)
+        """Parameters that would build a non-finite or out-of-range anchor row."""
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            generate_anchors(*bad)
 
-    def test_array_is_a_read_only_copy(self):
-        boxes = np.array([[4.0, 4.0, 16.0, 8.0, 0.0]])
-        grid = AnchorGrid(8, 16.0, 8.0, 1, 1, boxes)
-        boxes[0, 0] = 99.0
-        assert grid.boxes[0, 0] == 4.0
+    def test_array_is_read_only(self):
+        grid = generate_anchors(1, 1, 8, 16.0, 8.0)
+        assert grid.boxes.tolist() == [[4.0, 4.0, 16.0, 8.0, 0.0]]
         with pytest.raises(ValueError):
             grid.boxes[0, 0] = 1.0
 
@@ -164,8 +163,8 @@ class TestGenerateAnchors:
         b = generate_anchors(3, 4, 8, 16.0, 8.0)
         assert a == b and hash(a) == hash(b)
         assert a != generate_anchors(3, 4, 8, 16.0, 9.0)
-        moved = AnchorGrid(8, 16.0, 8.0, 3, 4, a.boxes + 1.0)
-        assert a != moved
+        assert a == AnchorGrid(8, 16.0, 8.0, 3, 4) and hash(a) == hash(AnchorGrid(8, 16, 8, 3, 4))
+        assert a != generate_anchors(3, 4, 4, 16.0, 8.0)
 
 
 class TestAssignTargets:

@@ -155,6 +155,14 @@ class TestMainExitCodes:
         assert rc == 2
         assert f"{gt}:1: ground-truth score field must be empty" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        gt_path, pred_path = hand_fixture(tmp_path)
+        pred_path.write_bytes(pred_path.read_text(encoding="utf-8").encode("gbk"))
+        rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{pred_path}: not UTF-8 text" in err and "Traceback" not in err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         gt_path, _ = hand_fixture(tmp_path)
         rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(tmp_path / "nope.txt")])
@@ -180,6 +188,21 @@ class TestSynth:
         a = cli.cmd_synth(21, 5, 0.4, tmp_path / "a")
         b = cli.cmd_synth(22, 5, 0.4, tmp_path / "b")
         assert a[0].read_bytes() != b[0].read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise", "nan"), ("--noise", "inf"), ("--noise", "-inf"), ("--seed", "-1"), ("--n", "-5")],
+    )
+    def test_bad_flag_exits_2(self, tmp_path, capsys, flag, value):
+        flags = {"--seed": "11", "--n": "3", "--noise": "0.5", "--out": str(tmp_path / "d")}
+        flags[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", *(f"{name}={v}" for name, v in flags.items())])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        message = "must be finite" if flag == "--noise" else "must be non-negative"
+        assert flag in captured.err and message in captured.err
+        assert "Traceback" not in captured.err and not (tmp_path / "d").exists()
 
 
 class TestSelfcheck:

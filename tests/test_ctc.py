@@ -293,6 +293,13 @@ class TestAlphabet:
         with pytest.raises(ParseError):
             load_alphabet(path)
 
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "alphabet.txt"
+        path.write_bytes(b"<b>\n\xe4\n")  # a truncated three-byte sequence
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            load_alphabet(path)
+        assert err.value.path == str(path)
+
     def test_load_rejects_multichar_line(self, tmp_path):
         path = tmp_path / "alphabet.txt"
         path.write_text("<b>\nab\n", encoding="utf-8")

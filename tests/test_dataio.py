@@ -19,6 +19,7 @@ from lpcore.dataio import (
 )
 from lpcore.errors import DegenerateQuadError, ParseError
 from lpcore.geometry import Quad, RotatedBox, quad_to_rbox
+from lpcore import spotting
 from lpcore.spotting import SpottingItem, SpottingRecord, aggregate, match_image
 
 
@@ -95,6 +96,19 @@ class TestAnnotations:
         with pytest.raises(ValueError):
             Annotation(quad, "", PlateType.BLUE)
 
+    def test_unidentifiable_uses_the_spotting_placeholder(self, monkeypatch):
+        monkeypatch.setattr(spotting, "UNIDENTIFIABLE_CHAR", "#")
+        quad = Quad(((0, 0), (4, 0), (4, 2), (0, 2)))
+        assert Annotation(quad, "京A123#5", PlateType.BLUE).unidentifiable
+        assert not Annotation(quad, "京A123*5", PlateType.BLUE).unidentifiable
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_bytes("0,0,4,0,4,2,0,2,京A12345,blue\n".encode("gbk"))
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            parse_annotation_file(path)
+        assert err.value.path == str(path)
+
 
 class TestPredictionFiles:
     def records(self):
@@ -130,6 +144,16 @@ class TestPredictionFiles:
         path = tmp_path / "pred.txt"
         path.write_text("", encoding="utf-8")
         assert parse_predictions(path) == []
+
+    @pytest.mark.parametrize("good_lines", [0, 2000])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, good_lines):
+        # 2000 good lines put the bad byte past the first decoded chunk
+        path = tmp_path / "pred.txt"
+        good = "img,0.900000,1,1,4,2,0,京A12345\n".encode()
+        path.write_bytes(good * good_lines + b"img,0.9,1,1,4,2,0,\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            parse_predictions(path)
+        assert err.value.path == str(path)
 
     def test_negative_width_rejected(self, tmp_path):
         path = tmp_path / "pred.txt"

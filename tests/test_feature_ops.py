@@ -10,13 +10,10 @@ from lpcore.feature_ops import (
     CropSpec,
     FeatureMap,
     LstmParams,
-    RecognitionHeadConfig,
-    bilinear_sample,
     bilstm_forward,
     conv2d_forward,
     deformable_conv2d_forward,
     roi_align,
-    roi_pool,
     rroi_align,
     training_crop_boxes,
 )
@@ -42,7 +39,7 @@ def scalar_bilinear(plane, x, y):
 
 
 def deformable_reference(fm, weights, bias, offsets, stride, padding):
-    """Per output pixel and tap loop over bilinear_sample."""
+    """Per output pixel and tap loop over scalar_bilinear."""
     out_c, in_c, k, _ = weights.shape
     out = np.zeros((out_c, offsets.height, offsets.width))
     for oy in range(offsets.height):
@@ -52,7 +49,7 @@ def deformable_reference(fm, weights, bias, offsets, stride, padding):
                     t = ki * k + kj
                     y = oy * stride - padding + ki + offsets.data[2 * t, oy, ox]
                     x = ox * stride - padding + kj + offsets.data[2 * t + 1, oy, ox]
-                    col = np.array([bilinear_sample(fm, x, y, c) for c in range(in_c)])
+                    col = np.array([scalar_bilinear(fm.data[c], x, y) for c in range(in_c)])
                     out[:, oy, ox] += weights[:, :, ki, kj] @ col
     return out + bias[:, None, None]
 
@@ -104,16 +101,8 @@ def interior_box(rng, fm, max_w=14.0, max_h=8.0):
 
 class TestFeatureMap:
     def test_shape_properties(self):
-        fm = FeatureMap.zeros(3, 4, 5)
+        fm = FeatureMap(np.zeros((3, 4, 5)))
         assert (fm.channels, fm.height, fm.width) == (3, 4, 5)
-
-    def test_from_flat_roundtrip(self):
-        fm = FeatureMap.from_flat(1, 2, 2, [0.0, 1.0, 2.0, 3.0])
-        assert fm.data[0, 1, 0] == 2.0
-
-    def test_from_flat_size_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            FeatureMap.from_flat(1, 2, 2, [0.0, 1.0])
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ShapeMismatchError):
@@ -123,28 +112,14 @@ class TestFeatureMap:
 
 
 class TestBilinearSample:
-    def test_integer_coordinates_exact(self):
-        rng = np.random.default_rng(0)
-        fm = FeatureMap(rng.normal(size=(2, 5, 6)))
-        for y in range(5):
-            for x in range(6):
-                assert bilinear_sample(fm, x, y, 1) == fm.data[1, y, x]
-
     def test_constant_map(self):
-        fm = FeatureMap(np.full((1, 4, 4), 7.5))
-        for x, y in ((0.2, 1.7), (3.0, 0.4), (2.5, 2.5)):
-            assert bilinear_sample(fm, x, y, 0) == pytest.approx(7.5)
+        data = np.full((1, 4, 4), 7.5)
+        got = _bilinear_gather(data, np.array([0.2, 3.0, 2.5]), np.array([1.7, 0.4, 2.5]))
+        assert np.allclose(got, 7.5, rtol=0, atol=1e-12)
 
     def test_center_of_two_by_two(self):
-        fm = FeatureMap(np.array([[[0.0, 1.0], [2.0, 3.0]]]))
-        assert bilinear_sample(fm, 0.5, 0.5, 0) == pytest.approx(1.5)
-
-    def test_out_of_bounds_reads_zero(self):
-        fm = FeatureMap(np.full((1, 3, 3), 4.0))
-        assert bilinear_sample(fm, -1.5, 1.0, 0) == 0.0
-        assert bilinear_sample(fm, 1.0, 7.0, 0) == 0.0
-        # half-in: only the in-range neighbour contributes
-        assert bilinear_sample(fm, -0.5, 1.0, 0) == pytest.approx(2.0)
+        data = np.array([[[0.0, 1.0], [2.0, 3.0]]])
+        assert _bilinear_gather(data, np.array([0.5]), np.array([0.5]))[0, 0] == 1.5
 
     def test_edge_band_matches_scalar_formula(self):
         # x in (-1, 0) or (W-1, W), and likewise y: one corner column (row)
@@ -159,17 +134,32 @@ class TestBilinearSample:
             for by in bands_y:
                 xs.extend(rng.uniform(*bx, size=20))
                 ys.extend(rng.uniform(*by, size=20))
+        # every pixel centre, then reads fully outside and half inside the map
+        grid_y, grid_x = np.mgrid[0:h, 0:w]
+        xs.extend(grid_x.ravel().astype(float))
+        ys.extend(grid_y.ravel().astype(float))
+        outside = [(-1.5, 1.0), (1.0, 7.0), (7.25, 2.0), (3.0, -1.0)]
+        half_in = [(-0.5, 1.0), (2.0, -0.5), (6.5, 3.0)]
+        for x, y in outside + half_in:
+            xs.append(x)
+            ys.append(y)
         xs, ys = np.array(xs), np.array(ys)
         got = _bilinear_gather(data, xs, ys)
         assert got.shape == (3, xs.size)
         for c in range(3):
             want = [scalar_bilinear(data[c], x, y) for x, y in zip(xs, ys)]
             assert np.abs(got[c] - want).max() < 1e-12
-
-    def test_channel_range(self):
-        fm = FeatureMap.zeros(1, 2, 2)
-        with pytest.raises(ShapeMismatchError):
-            bilinear_sample(fm, 0, 0, 1)
+        n_out = len(outside) + len(half_in)
+        pixels = got[:, -n_out - h * w : -n_out]
+        assert np.array_equal(pixels, data.reshape(3, -1))  # exact at pixel centres
+        assert np.all(got[:, -n_out : -len(half_in)] == 0.0)
+        # half inside: only the in-range neighbour counts, at half weight
+        assert np.allclose(
+            got[:, -len(half_in) :],
+            0.5 * np.stack([data[:, 1, 0], data[:, 0, 2], data[:, 3, 6]], axis=1),
+            rtol=0,
+            atol=1e-15,
+        )
 
 
 class TestRroiAlign:
@@ -211,6 +201,8 @@ class TestRroiAlign:
             box = RotatedBox(b.cx, b.cy, b.w, b.h, 0.0)
             d = np.abs(rroi_align(fm, box).data - roi_align(fm, box).data).max()
             assert d < 1e-9
+        with pytest.raises(ValueError, match="roi_align requires theta == 0"):
+            roi_align(fm, RotatedBox(20.0, 15.0, 8.0, 4.0, 0.1))
 
     def test_linearity_in_feature_map(self):
         rng = np.random.default_rng(5)
@@ -226,39 +218,6 @@ class TestRroiAlign:
         fm = FeatureMap(np.full((1, 6, 6), 2.0))
         # box fully outside the map
         out = rroi_align(fm, RotatedBox(100, 100, 4, 4, 0.3), CropSpec(2, 2, 2))
-        assert np.all(out.data == 0.0)
-
-
-class TestRoiPool:
-    def test_constant_map(self):
-        fm = FeatureMap(np.full((1, 8, 8), 1.5))
-        out = roi_pool(fm, RotatedBox(3.5, 3.5, 8, 8, 0), CropSpec(2, 2, 1))
-        assert np.all(out.data == 1.5)
-
-    def test_ramp_bin_maxima(self):
-        fm = FeatureMap(np.arange(16.0).reshape(1, 4, 4))
-        out = roi_pool(fm, RotatedBox(1.5, 1.5, 4, 4, 0), CropSpec(2, 2, 1))
-        assert np.array_equal(out.data[0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_requires_axis_aligned(self):
-        fm = FeatureMap.zeros(1, 8, 8)
-        with pytest.raises(ValueError):
-            roi_pool(fm, RotatedBox(4, 4, 4, 4, 0.1), CropSpec(2, 2, 1))
-
-    def test_positively_homogeneous_and_monotone(self):
-        rng = np.random.default_rng(6)
-        base = rng.normal(size=(2, 10, 10))
-        fm = FeatureMap(base)
-        box = RotatedBox(4.5, 4.5, 8, 8, 0)
-        spec = CropSpec(4, 4, 1)
-        scaled = roi_pool(FeatureMap(3.0 * base), box, spec)
-        assert np.allclose(scaled.data, 3.0 * roi_pool(fm, box, spec).data)
-        bigger = roi_pool(FeatureMap(base + 1.0), box, spec)
-        assert np.all(bigger.data >= roi_pool(fm, box, spec).data)
-
-    def test_outside_window_zero(self):
-        fm = FeatureMap(np.full((1, 4, 4), 9.0))
-        out = roi_pool(fm, RotatedBox(100.0, 100.0, 2, 2, 0), CropSpec(2, 2, 1))
         assert np.all(out.data == 0.0)
 
 
@@ -289,12 +248,12 @@ class TestConv2d:
             assert np.abs(got.data - want.data).max() < 1e-12
 
     def test_output_dims_formula(self):
-        fm = FeatureMap.zeros(1, 11, 7)
+        fm = FeatureMap(np.zeros((1, 11, 7)))
         out = conv2d_forward(fm, np.zeros((2, 1, 3, 3)), stride=2, padding=1)
         assert out.data.shape == (2, (11 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
 
     def test_shape_errors(self):
-        fm = FeatureMap.zeros(2, 5, 5)
+        fm = FeatureMap(np.zeros((2, 5, 5)))
         with pytest.raises(ShapeMismatchError):
             conv2d_forward(fm, np.zeros((1, 3, 3, 3)))  # wrong in_c
         with pytest.raises(ShapeMismatchError):
@@ -357,12 +316,12 @@ class TestDeformableConv2d:
                 assert np.abs(got.data - want).max() < 1e-12
 
     def test_offset_shape_errors(self):
-        fm = FeatureMap.zeros(1, 7, 7)
+        fm = FeatureMap(np.zeros((1, 7, 7)))
         w = np.zeros((1, 1, 3, 3))
         with pytest.raises(ShapeMismatchError):
-            deformable_conv2d_forward(fm, w, None, FeatureMap.zeros(4, 5, 5))
+            deformable_conv2d_forward(fm, w, None, FeatureMap(np.zeros((4, 5, 5))))
         with pytest.raises(ShapeMismatchError):
-            deformable_conv2d_forward(fm, w, None, FeatureMap.zeros(18, 4, 4))
+            deformable_conv2d_forward(fm, w, None, FeatureMap(np.zeros((18, 4, 4))))
 
     def test_linearity_in_feature_map(self):
         rng = np.random.default_rng(11)
@@ -393,13 +352,6 @@ class TestTrainingCropBoxes:
     def test_no_predictions(self):
         gts = [RotatedBox(5, 5, 4, 2, 0.0)]
         assert training_crop_boxes(gts, []) == gts
-
-    def test_head_config_defaults(self):
-        cfg = RecognitionHeadConfig()
-        assert cfg.num_residual_blocks == 4
-        assert cfg.num_deformable_layers == 2
-        assert (cfg.crop.out_h, cfg.crop.out_w) == (8, 25)
-        assert cfg.crop_score_thresh == 0.9
 
 
 class TestBiLstm:

@@ -138,6 +138,17 @@ class TestQuadToRbox:
         with pytest.raises(DegenerateQuadError):
             quad_to_rbox(Quad(((0, 0), (1e-4, 0), (1e-4, 1e-4), (0, 1e-4))))
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            ((0, 0), (1e200, 0), (1e200, 1), (0, 1)),
+            ((0, 0), (1e146, 0), (1e146, 1e-151), (0, 1e-151)),
+        ],
+    )
+    def test_side_outside_box_range_is_degenerate(self, vertices):
+        with pytest.raises(DegenerateQuadError, match="not a valid box"):
+            quad_to_rbox(Quad(vertices))
+
     def test_concave_quad_encloses_all_vertices(self):
         q = Quad(((0, 0), (4, 0), (1, 1), (0, 4)))
         b = quad_to_rbox(q)
