@@ -23,21 +23,18 @@ from .ctc import (
     ctc_loss,
     exact_match,
     greedy_decode,
-    load_alphabet,
-    save_alphabet,
 )
 from .dataio import (
     Annotation,
     PlateType,
-    load_tensors,
+    load_alphabet,
     parse_annotation_file,
     parse_predictions,
-    save_tensors,
+    save_alphabet,
     synth_fixture,
     write_predictions,
 )
 from .errors import (
-    AngleOutOfRangeError,
     DegenerateQuadError,
     DomainError,
     ImageIdMismatchError,

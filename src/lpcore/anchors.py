@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AngleOutOfRangeError
 from .geometry import RotatedBox, _box_array, _checked_box_array, _iou_matrix
 
 # Conventional single-stage defaults; the P3 stride with a wide 3:1 base
@@ -80,9 +79,11 @@ class AnchorGrid:
         grid_h, grid_w, stride = self.grid_h, self.grid_w, self.stride
         if grid_h <= 0 or grid_w <= 0 or stride <= 0 or self.base_w <= 0 or self.base_h <= 0:
             raise ValueError("all anchor-grid parameters must be positive")
-        cy, cx = np.meshgrid(
-            (np.arange(grid_h) + 0.5) * stride, (np.arange(grid_w) + 0.5) * stride, indexing="ij"
-        )
+        # the row check below rejects a centre that overflows to inf
+        with np.errstate(over="ignore"):
+            ys = (np.arange(grid_h) + 0.5) * stride
+            xs = (np.arange(grid_w) + 0.5) * stride
+        cy, cx = np.meshgrid(ys, xs, indexing="ij")
         boxes = np.zeros((grid_h * grid_w, 5))
         boxes[:, 0] = cx.ravel()
         boxes[:, 1] = cy.ravel()
@@ -192,12 +193,6 @@ def assign_targets(
     return Assignment(gt_index, max_iou, pos_iou, neg_iou)
 
 
-def _checked_tan(theta: float) -> float:
-    if not abs(theta) < math.pi / 2:
-        raise AngleOutOfRangeError(f"|theta| must be < pi/2 for tan(), got {theta}")
-    return math.tan(theta)
-
-
 def encode_delta(b: RotatedBox, g: RotatedBox) -> BoxDelta:
     """Offset from box b to ground truth g."""
     return BoxDelta(
@@ -205,7 +200,7 @@ def encode_delta(b: RotatedBox, g: RotatedBox) -> BoxDelta:
         (g.cy - b.cy) / b.h,
         math.log(g.w / b.w),
         math.log(g.h / b.h),
-        _checked_tan(g.theta) - _checked_tan(b.theta),
+        math.tan(g.theta) - math.tan(b.theta),
     )
 
 
@@ -216,7 +211,7 @@ def decode_delta(b: RotatedBox, d: BoxDelta) -> RotatedBox:
         b.cy + d.dy * b.h,
         b.w * math.exp(d.dw),
         b.h * math.exp(d.dh),
-        math.atan(_checked_tan(b.theta) + d.dtheta),
+        math.atan(math.tan(b.theta) + d.dtheta),
     )
 
 

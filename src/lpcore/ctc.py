@@ -13,10 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleTargetError, ParseError, ShapeMismatchError
+from .errors import InfeasibleTargetError, ShapeMismatchError
 
 BLANK_INDEX = 0
-BLANK_MARKER = "<b>"
 
 # 31 province abbreviations, A-Z, 0-9, and the unidentifiable placeholder.
 PROVINCES = "京津冀晋蒙辽吉黑沪苏浙皖闽赣鲁豫鄂湘粤桂琼渝川贵云藏陕甘青宁新"
@@ -70,33 +69,6 @@ class Alphabet:
 
 def default_alphabet() -> Alphabet:
     return Alphabet()
-
-
-def save_alphabet(path, alphabet: Alphabet) -> None:
-    """One symbol per line; the first line is the blank marker."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(BLANK_MARKER + "\n")
-        for ch in alphabet.symbols:
-            f.write(ch + "\n")
-
-
-def load_alphabet(path) -> Alphabet:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
-    if not lines or lines[0] != BLANK_MARKER:
-        raise ParseError(f"first line must be {BLANK_MARKER!r}", path=str(path), line=1)
-    symbols = []
-    for no, line in enumerate(lines[1:], start=2):
-        if len(line) != 1:
-            raise ParseError(f"expected a single character, got {line!r}", path=str(path), line=no)
-        symbols.append(line)
-    try:
-        return Alphabet(tuple(symbols))
-    except ValueError as exc:
-        raise ParseError(str(exc), path=str(path)) from exc
 
 
 def _check_log_probs(logp: np.ndarray, validate: bool) -> np.ndarray:

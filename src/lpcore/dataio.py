@@ -1,24 +1,25 @@
-"""File formats: annotations, prediction/ground-truth records, binary
-tensor containers, and deterministic synthetic fixtures.
+"""File formats: annotations, prediction/ground-truth records, alphabets,
+and deterministic synthetic fixtures.
 
-Annotation lines: ``x1,y1,x2,y2,x3,y3,x4,y4,content,type`` (UTF-8; the
-content may hold any non-comma characters). Record lines:
+Every text file is UTF-8, a leading BOM is dropped, and lines may end in
+``\n``, ``\r\n`` or ``\r``. Annotation lines:
+``x1,y1,x2,y2,x3,y3,x4,y4,content,type`` (the content may hold any
+non-comma characters). Record lines:
 ``image_id,score,cx,cy,w,h,theta,transcript`` with an empty score field
-for ground truths. Numeric fields are written with six decimals, so a
-write/parse roundtrip is lossless to 1e-6.
+for ground truths. Numeric fields are read with ``float()`` and written
+with six decimals, so a write/parse roundtrip is lossless to 1e-6.
+Alphabet files hold the blank marker, then one symbol per line.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .ctc import DEFAULT_SYMBOLS, PROVINCES
-from .errors import ParseError
+from .ctc import DEFAULT_SYMBOLS, PROVINCES, Alphabet
+from .errors import DegenerateQuadError, ParseError
 from .geometry import Quad, RotatedBox
 from .spotting import SpottingItem, SpottingRecord, is_unidentifiable
 
@@ -47,43 +48,56 @@ class Annotation:
         return is_unidentifiable(self.content)
 
 
+def _text_lines(path):
+    """Yield (line number, line without its newline) of a UTF-8 text file.
+
+    A leading BOM is dropped; bytes that are not UTF-8 raise ParseError.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            for no, line in enumerate(f, start=1):
+                yield no, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+
+
 def parse_annotation_file(path) -> list[Annotation]:
     """Parse one plate per line; raises ParseError with the line number.
 
-    Degenerate vertex sets propagate as DegenerateQuadError.
+    A degenerate vertex set (zero area, self-intersecting or non-finite)
+    is a ParseError too.
     """
     out: list[Annotation] = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for no, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != 10:
-                    raise ParseError(
-                        f"expected 10 comma-separated fields, got {len(fields)}",
-                        path=str(path),
-                        line=no,
-                    )
-                try:
-                    coords = [float(v) for v in fields[:8]]
-                except ValueError:
-                    raise ParseError("non-numeric vertex coordinate", path=str(path), line=no)
-                content = fields[8]
-                if not content:
-                    raise ParseError("empty content field", path=str(path), line=no)
-                try:
-                    lp_type = PlateType(fields[9])
-                except ValueError:
-                    raise ParseError(f"unknown plate type {fields[9]!r}", path=str(path), line=no)
-                quad = Quad(
-                    ((coords[0], coords[1]), (coords[2], coords[3]),
-                     (coords[4], coords[5]), (coords[6], coords[7]))
-                )
-                out.append(Annotation(quad, content, lp_type))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+    for no, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 10:
+            raise ParseError(
+                f"expected 10 comma-separated fields, got {len(fields)}",
+                path=str(path),
+                line=no,
+            )
+        try:
+            coords = [float(v) for v in fields[:8]]
+        except ValueError:
+            raise ParseError("non-numeric vertex coordinate", path=str(path), line=no)
+        content = fields[8]
+        if not content:
+            raise ParseError("empty content field", path=str(path), line=no)
+        try:
+            lp_type = PlateType(fields[9])
+        except ValueError:
+            raise ParseError(f"unknown plate type {fields[9]!r}", path=str(path), line=no)
+        try:
+            quad = Quad(
+                ((coords[0], coords[1]), (coords[2], coords[3]),
+                 (coords[4], coords[5]), (coords[6], coords[7]))
+            )
+        except DegenerateQuadError as exc:
+            raise ParseError(f"degenerate quad: {exc}", path=str(path), line=no)
+        out.append(Annotation(quad, content, lp_type))
     return out
 
 
@@ -114,100 +128,65 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
     With ground_truth, every score field must be empty.
     """
     grouped: dict[str, list[SpottingItem]] = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for no, raw in enumerate(f, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                fields = line.split(",")
-                if len(fields) != 8:
-                    raise ParseError(
-                        f"expected 8 comma-separated fields, got {len(fields)}",
-                        path=str(path),
-                        line=no,
-                    )
-                image_id = fields[0]
-                if not image_id:
-                    raise ParseError("empty image_id", path=str(path), line=no)
-                if ground_truth and fields[1]:
-                    raise ParseError(
-                        f"ground-truth score field must be empty, got {fields[1]!r}",
-                        path=str(path),
-                        line=no,
-                    )
-                try:
-                    score = None if fields[1] == "" else float(fields[1])
-                    nums = [float(v) for v in fields[2:7]]
-                except ValueError:
-                    raise ParseError("non-numeric box field", path=str(path), line=no)
-                if score is not None and not 0.0 <= score <= 1.0:
-                    raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
-                try:
-                    box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
-                except ValueError as exc:
-                    raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
-                grouped.setdefault(image_id, []).append(SpottingItem(box, fields[7], score))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+    for no, line in _text_lines(path):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 8:
+            raise ParseError(
+                f"expected 8 comma-separated fields, got {len(fields)}",
+                path=str(path),
+                line=no,
+            )
+        image_id = fields[0]
+        if not image_id:
+            raise ParseError("empty image_id", path=str(path), line=no)
+        if ground_truth and fields[1]:
+            raise ParseError(
+                f"ground-truth score field must be empty, got {fields[1]!r}",
+                path=str(path),
+                line=no,
+            )
+        try:
+            score = None if fields[1] == "" else float(fields[1])
+            nums = [float(v) for v in fields[2:7]]
+        except ValueError:
+            raise ParseError("non-numeric box field", path=str(path), line=no)
+        if score is not None and not 0.0 <= score <= 1.0:
+            raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
+        try:
+            box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
+        except ValueError as exc:
+            raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
+        grouped.setdefault(image_id, []).append(SpottingItem(box, fields[7], score))
     return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
 
 
-# Binary tensor container: named float64 arrays, little-endian, so test
-# fixtures and exported weights are bit-exact across platforms.
-TENSOR_MAGIC = b"LPTENSR1"
+BLANK_MARKER = "<b>"
 
 
-def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.tobytes())
+def save_alphabet(path, alphabet: Alphabet) -> None:
+    """One symbol per line; the first line is the blank marker."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(BLANK_MARKER + "\n")
+        for ch in alphabet.symbols:
+            f.write(ch + "\n")
 
 
-def load_tensors(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(TENSOR_MAGIC)] != TENSOR_MAGIC:
-        raise ParseError(f"bad magic; not a {TENSOR_MAGIC!r} container", path=str(path))
-    pos = len(TENSOR_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ParseError("truncated tensor container", path=str(path))
-        chunk = blob[pos : pos + n]
-        pos += n
-        return chunk
-
-    (count,) = struct.unpack("<I", take(4))
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("tensor name is not valid UTF-8", path=str(path)) from None
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        # a Python integer product, so take() rejects a hostile shape whose
-        # byte count would wrap around in int64
-        data = take(8 * math.prod(shape))
-        try:
-            arr = np.frombuffer(data, dtype="<f8").reshape(shape)
-        except ValueError as exc:
-            raise ParseError(f"tensor {name!r}: {exc}", path=str(path)) from None
-        out[name] = arr.astype(np.float64)
-    if pos != len(blob):
-        raise ParseError("trailing bytes after last tensor", path=str(path))
-    return out
+def load_alphabet(path) -> Alphabet:
+    """Read a file written by save_alphabet; raises ParseError with the line."""
+    lines = _text_lines(path)
+    if next(lines, (1, None))[1] != BLANK_MARKER:
+        raise ParseError(f"first line must be {BLANK_MARKER!r}", path=str(path), line=1)
+    symbols = []
+    for no, line in lines:
+        if len(line) != 1:
+            raise ParseError(f"expected a single character, got {line!r}", path=str(path), line=no)
+        symbols.append(line)
+    try:
+        return Alphabet(tuple(symbols))
+    except ValueError as exc:
+        raise ParseError(str(exc), path=str(path)) from exc
 
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -227,6 +206,7 @@ def synth_fixture(
     noise scales a geometric perturbation of every predicted box; zero
     noise reproduces the ground truth exactly, and a noise of ~2 or more
     displaces each prediction by at least its own size (IoU reaches 0).
+    Any |noise| <= 1000 scales a side by at most e^200, inside the box range.
     Transcripts are never corrupted.
     """
     rng = np.random.default_rng(seed)

@@ -5,10 +5,6 @@ class DegenerateQuadError(ValueError):
     """Quadrilateral has (near-)zero area or self-intersects."""
 
 
-class AngleOutOfRangeError(ValueError):
-    """Box angle outside the domain where tan() is usable."""
-
-
 class DomainError(ValueError):
     """Scalar argument outside its mathematical domain."""
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import lpcore.cli as cli
-from lpcore.dataio import write_predictions
+from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.geometry import RotatedBox
 from lpcore.spotting import SpottingCounts, SpottingItem, SpottingRecord
 
@@ -163,6 +163,17 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"{pred_path}: not UTF-8 text" in err and "Traceback" not in err
 
+    def test_bom_prediction_file_scores_perfect(self, tmp_path, capsys):
+        # the BOM once became part of "img1", which then scored all-FN and all-FP
+        gt = "img1,,10,10,5,2,0,京A12345\nimg2,,30,30,5,2,0,沪B67890\n"
+        (tmp_path / "gt.txt").write_text(gt, encoding="utf-8")
+        (tmp_path / "pred.txt").write_text("\ufeff" + gt.replace(",,", ",0.9,"), "utf-8")
+        rc = cli.main(
+            ["evaluate", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "pred.txt")]
+        )
+        assert rc == 0
+        assert "fscore=1.000000" in capsys.readouterr().out
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         gt_path, _ = hand_fixture(tmp_path)
         rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(tmp_path / "nope.txt")])
@@ -191,7 +202,15 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--noise", "nan"), ("--noise", "inf"), ("--noise", "-inf"), ("--seed", "-1"), ("--n", "-5")],
+        [
+            ("--noise", "nan"),
+            ("--noise", "inf"),
+            ("--noise", "-inf"),
+            ("--noise", "1e4"),
+            ("--noise", "-1e4"),
+            ("--seed", "-1"),
+            ("--n", "-5"),
+        ],
     )
     def test_bad_flag_exits_2(self, tmp_path, capsys, flag, value):
         flags = {"--seed": "11", "--n": "3", "--noise": "0.5", "--out": str(tmp_path / "d")}
@@ -203,6 +222,15 @@ class TestSynth:
         message = "must be finite" if flag == "--noise" else "must be non-negative"
         assert flag in captured.err and message in captured.err
         assert "Traceback" not in captured.err and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("noise", ["1000", "-1000"])
+    def test_noise_bound_writes_files(self, tmp_path, capsys, noise):
+        out = tmp_path / "d"
+        rc = cli.main(["synth", "--seed", "1", "--n", "20", f"--noise={noise}", "--out", str(out)])
+        assert rc == 0
+        assert len(parse_predictions(out / "gt.txt", ground_truth=True)) == 20
+        gt_lines = (out / "gt.txt").read_text("utf-8").count("\n")
+        assert (out / "pred.txt").read_text("utf-8").count("\n") == gt_lines
 
 
 class TestSelfcheck:

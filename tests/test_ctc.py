@@ -10,10 +10,9 @@ from lpcore.ctc import (
     default_alphabet,
     exact_match,
     greedy_decode,
-    load_alphabet,
     min_frames_for,
-    save_alphabet,
 )
+from lpcore.dataio import load_alphabet, save_alphabet
 from lpcore.errors import InfeasibleTargetError, ParseError, ShapeMismatchError
 from lpcore.oracles import central_difference, ctc_loss_brute_force, relative_error
 

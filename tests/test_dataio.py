@@ -1,23 +1,19 @@
-import struct
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpcore.ctc import DEFAULT_SYMBOLS
+from lpcore.ctc import DEFAULT_SYMBOLS, Alphabet
 from lpcore.dataio import (
-    TENSOR_MAGIC,
     Annotation,
     PlateType,
-    load_tensors,
+    load_alphabet,
     parse_annotation_file,
     parse_predictions,
-    save_tensors,
+    save_alphabet,
     synth_fixture,
     write_predictions,
 )
-from lpcore.errors import DegenerateQuadError, ParseError
+from lpcore.errors import ParseError
 from lpcore.geometry import Quad, RotatedBox, quad_to_rbox
 from lpcore import spotting
 from lpcore.spotting import SpottingItem, SpottingRecord, aggregate, match_image
@@ -68,8 +64,21 @@ class TestAnnotations:
     def test_degenerate_quad_propagates(self, tmp_path):
         path = tmp_path / "ann.txt"
         path.write_text("0,0,1,0,0,0,1,0,京A12345,blue\n", encoding="utf-8")
-        with pytest.raises(DegenerateQuadError):
+        with pytest.raises(ParseError, match="degenerate quad: quad has zero area") as err:
             parse_annotation_file(path)
+        assert (err.value.path, err.value.line) == (str(path), 1)
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [("0,0,4,0,nan,2,0,2", "non-finite vertex"), ("0,0,4,2,4,0,0,3", "self-intersect")],
+        ids=["nan_vertex", "self_intersecting"],
+    )
+    def test_degenerate_quad_is_parse_error_with_line(self, tmp_path, coords, message):
+        path = tmp_path / "ann.txt"
+        path.write_text(f"0,0,4,0,4,2,0,2,京A12345,blue\n{coords},京A12345,blue\n", "utf-8")
+        with pytest.raises(ParseError, match=message) as err:
+            parse_annotation_file(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
 
     def test_non_numeric_coordinate(self, tmp_path):
         path = tmp_path / "ann.txt"
@@ -205,74 +214,95 @@ class TestPredictionFiles:
             write_predictions(tmp_path / "x.txt", [rec])
 
 
-class TestTensorContainer:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        tensors = {
-            "conv.weight": rng.normal(size=(4, 3, 3, 3)),
-            "conv.bias": rng.normal(size=(4,)),
-            "lstm.w_input": rng.normal(size=(8, 5)),
-        }
-        path = tmp_path / "weights.lpt"
-        save_tensors(path, tensors)
-        back = load_tensors(path)
-        assert set(back) == set(tensors)
-        for name in tensors:
-            assert back[name].shape == tensors[name].shape
-            assert np.array_equal(back[name], tensors[name])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "weights.lpt"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ParseError):
-            load_tensors(path)
-
-    def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "weights.lpt"
-        save_tensors(path, {"w": np.ones((4, 4))})
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ParseError):
-            load_tensors(path)
-
-    def test_trailing_garbage_detected(self, tmp_path):
-        path = tmp_path / "weights.lpt"
-        save_tensors(path, {"w": np.ones(3)})
-        path.write_bytes(path.read_bytes() + b"zz")
-        with pytest.raises(ParseError):
-            load_tensors(path)
+# small field vocabularies, so that many drawn lines are well formed and many
+# of those hold a degenerate quad, a bad box or a misplaced BOM
+_CHARS = st.characters(exclude_categories=("Cs",))
+_NUMBERS = st.sampled_from(["0", "1", "2", "-1", "1e300", "nan", " 1 ", "1_0"])
+_WORDS = st.sampled_from(["", "img", "京A12345", "*", "<b>", "\ufeff"])
+_RECORD_LINES = st.tuples(
+    _WORDS, st.sampled_from(["", "0.5", "2"]), st.lists(_NUMBERS, min_size=5, max_size=5), _WORDS
+).map(lambda t: ",".join([t[0], t[1], *t[2], t[3]]))
+_ANNOTATION_LINES = st.tuples(
+    st.lists(_NUMBERS, min_size=8, max_size=8), _WORDS, st.sampled_from(["blue", "white", "x"])
+).map(lambda t: ",".join([*t[0], t[1], t[2]]))
+_PARSERS = {
+    "predictions": (_RECORD_LINES, parse_predictions),
+    "ground_truth": (_RECORD_LINES, lambda path: parse_predictions(path, ground_truth=True)),
+    "annotations": (_ANNOTATION_LINES, parse_annotation_file),
+    "alphabet": (st.one_of(st.just("<b>"), _CHARS), load_alphabet),
+}
 
 
-    def test_overflowing_shape_rejected(self, tmp_path):
-        path = tmp_path / "weights.lpt"
-        header = struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B2Q", 2, 2**62, 2**62)
-        path.write_bytes(TENSOR_MAGIC + header + b"\x00" * 64)
-        with pytest.raises(ParseError, match="truncated"):
-            load_tensors(path)
+def text_files(line):
+    """Raw bytes, or lines of one format with a BOM and newline style drawn too."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.builds(
+            lambda bom, lines, newline: (bom + newline.join(lines)).encode("utf-8"),
+            st.sampled_from(["", "\ufeff"]),
+            st.lists(st.one_of(line, st.text(_CHARS, max_size=12)), min_size=1, max_size=6),
+            st.sampled_from(["\n", "\r\n", "\r"]),
+        ),
+    )
 
-    @settings(max_examples=300, deadline=None)
+
+class TestTextFiles:
+    RECORDS = "img1,0.9,10,10,5,2,0,京A12345\nimg2,0.8,30,30,5,2,0,沪B67890\n"
+    ANNOTATIONS = "0,0,4,0,4,2,0,2,京A12345,blue\n1,2,5,2,5,4,1,4,沪B67890,white\n"
+
+    def test_leading_bom_dropped(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(self.RECORDS, "utf-8")
+        bom.write_text("\ufeff" + self.RECORDS, "utf-8")
+        assert [r.image_id for r in parse_predictions(bom)] == ["img1", "img2"]
+        assert parse_predictions(bom) == parse_predictions(plain)
+        plain.write_text(self.ANNOTATIONS, "utf-8")
+        bom.write_text("\ufeff" + self.ANNOTATIONS, "utf-8")
+        assert parse_annotation_file(bom) == parse_annotation_file(plain)
+
+    def test_later_bom_is_content(self, tmp_path):
+        path = tmp_path / "pred.txt"
+        path.write_text(self.RECORDS.replace("img2", "\ufeffimg2"), "utf-8")
+        assert [r.image_id for r in parse_predictions(path)] == ["img1", "\ufeffimg2"]
+
+    def test_crlf_parses_like_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        cases = ((self.RECORDS, parse_predictions), (self.ANNOTATIONS, parse_annotation_file))
+        for text, parse in cases:
+            lf.write_bytes(text.encode())
+            crlf.write_bytes(text.replace("\n", "\r\n").encode())
+            assert parse(crlf) == parse(lf)
+        save_alphabet(lf, Alphabet(("a", "b")))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_alphabet(crlf) == load_alphabet(lf)
+
+    @settings(max_examples=200, deadline=None)
     @given(
-        st.one_of(
-            st.binary(max_size=200),
-            st.builds(
-                lambda name, dims, payload: (
-                    struct.pack("<IH", 1, len(name)) + name
-                    + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + payload
-                ),
-                st.binary(max_size=8),
-                st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=70),
-                st.binary(max_size=64),
-            ),
+        st.lists(
+            st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"),
+            min_size=1,
+            max_size=20,
+            unique=True,
         )
     )
-    def test_any_bytes_load_or_raise_parse_error(self, tmp_path_factory, body):
-        path = tmp_path_factory.getbasetemp() / "fuzz.lpt"
-        path.write_bytes(TENSOR_MAGIC + body)
+    @example(["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_alphabet_roundtrip(self, tmp_path_factory, symbols):
+        path = tmp_path_factory.getbasetemp() / "alphabet.txt"
+        alphabet = Alphabet(tuple(symbols))
+        save_alphabet(path, alphabet)
+        assert load_alphabet(path) == alphabet
+
+    @pytest.mark.parametrize("parser", sorted(_PARSERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_bytes_parse_or_raise_parse_error(self, tmp_path_factory, parser, data):
+        lines, parse = _PARSERS[parser]
+        path = tmp_path_factory.getbasetemp() / f"fuzz_{parser}.txt"
+        path.write_bytes(data.draw(text_files(lines)))
         try:
-            tensors = load_tensors(path)
+            parse(path)
         except ParseError:
-            return
-        assert all(arr.dtype == np.float64 for arr in tensors.values())
+            pass
 
 
 class TestSynthFixture:
