@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic gt/pred fixture files")
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--n", type=int, required=True, help="number of images")
-    p_synth.add_argument("--noise", type=float, required=True, help="in [-1000, 1000]")
+    p_synth.add_argument("--noise", type=float, required=True, help="in [-80, 80]")
     p_synth.add_argument("--out", required=True, help="output directory")
 
     p_bench = sub.add_parser("bench", help="micro-benchmarks of the core ops")
@@ -382,9 +382,10 @@ def main(argv=None) -> int:
         parser.error(f"argument --iou: must be in [0, 1], got {args.iou}")
     if args.command == "bench" and any(size <= 0 for size in args.size or ()):
         parser.error(f"argument --size: must be positive, got {min(args.size)}")
-    # beyond 1000, synth_fixture's side scale e^(0.2 noise) can leave the box range
-    if args.command == "synth" and not abs(args.noise) <= 1000.0:
-        parser.error(f"argument --noise: must be finite and in [-1000, 1000], got {args.noise}")
+    # beyond 80, synth_fixture's side scale e^(-0.2 |noise|) can shrink a side
+    # below 5e-7, which write_predictions' six decimals write as 0.000000
+    if args.command == "synth" and not abs(args.noise) <= 80.0:
+        parser.error(f"argument --noise: must be finite and in [-80, 80], got {args.noise}")
     if args.command == "synth" and min(args.seed, args.n) < 0:
         parser.error(f"arguments --seed and --n: must be non-negative, got {args.seed}, {args.n}")
     try:

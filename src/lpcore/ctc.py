@@ -75,17 +75,18 @@ def _check_log_probs(logp: np.ndarray, validate: bool) -> np.ndarray:
     logp = np.asarray(logp, dtype=np.float64)
     if logp.ndim != 2 or logp.shape[0] < 1 or logp.shape[1] < 2:
         raise ShapeMismatchError(f"log-probs must be (T, K) with K >= 2, got {logp.shape}")
+    top = logp.max(axis=1, keepdims=True)  # NaN where the row holds a NaN
+    if not (top < np.inf).all():
+        raise ValueError("log-probs must not be NaN or +inf (-inf is probability 0)")
     if validate:
-        row = _logsumexp_rows(logp)
+        # tested apart so that a row of -inf never computes -inf - -inf
+        if not (top > -np.inf).all():
+            raise ValueError("log-prob rows must normalize to 1, got a row of -inf")
+        row = top + np.log(np.exp(logp - top).sum(axis=1, keepdims=True))
         if np.any(np.abs(row) > ROW_NORMALIZATION_TOL):
             worst = float(np.abs(row).max())
             raise ValueError(f"log-prob rows must normalize to 1 (max |logsumexp| {worst:g})")
     return logp
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=-1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True))).squeeze(-1)
 
 
 def _extended_target(target: Sequence[int], num_classes: int) -> np.ndarray:
@@ -104,13 +105,36 @@ def min_frames_for(target: Sequence[int]) -> int:
     return len(lab) + repeats
 
 
+def _paths_into(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Log-mass of all paths into each (t, s) state, before frame t's emission.
+
+    Paths start in state 0 or 1; each frame they stay, step one state or
+    jump two, and a jump is allowed only over a blank between different labels.
+    On the reversed lattice, `emit[::-1, ::-1]` and `ext[::-1]`, it gives
+    the suffix scores, because blanks sit at the even states in both.
+    """
+    t_len, s_len = emit.shape
+    # jump[s]: 0 where the s-2 -> s transition is allowed, -inf where not.
+    jump = np.full(s_len, -np.inf)
+    jump[2:][(ext[2:] != BLANK_INDEX) & (ext[2:] != ext[:-2])] = 0.0
+    into = np.full((t_len, s_len), -np.inf)
+    into[0, :2] = 0.0
+    # prev holds frame t-1's scores behind two -inf pads, so its one- and
+    # two-state shifts are slices of it.
+    prev = np.full(s_len + 2, -np.inf)
+    for t in range(1, t_len):
+        np.add(emit[t - 1], into[t - 1], out=prev[2:])
+        into[t] = np.logaddexp(np.logaddexp(prev[2:], prev[1:-1]), prev[:-2] + jump)
+    return into
+
+
 def ctc_loss(
     logp: np.ndarray, target: Sequence[int], validate: bool = True
 ) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of the target plus gradient w.r.t. log-probs.
 
-    The forward recursion runs over the blank-interleaved target; the
-    gradient treats each log-probability entry as a free variable.
+    The recursion runs over the blank-interleaved target; the gradient
+    treats each log-probability entry as a free variable.
     """
     logp = _check_log_probs(logp, validate)
     t_len, num_classes = logp.shape
@@ -120,58 +144,13 @@ def ctc_loss(
             f"target of {len(list(target))} labels needs at least {need} frames, got {t_len}"
         )
     ext = _extended_target(target, num_classes)
-    s_len = ext.size
     emit = logp[:, ext]  # (T, S)
-
-    # skip[s]: the s-2 -> s transition is allowed (jumping the blank).
-    skip = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        skip[2:] = (ext[2:] != BLANK_INDEX) & (ext[2:] != ext[:-2])
-
-    neg_inf = -np.inf
-    # Additive masks: 0 where the s-2 -> s (forward) or s+2 -> s (backward)
-    # jump is allowed, -inf where it is not.
-    jump_mask = np.where(skip, 0.0, neg_inf)
-    back_mask = np.full(s_len, neg_inf)
-    back_mask[:-2] = jump_mask[2:]
-
-    # Each pass writes the row it reads into a -inf-padded buffer, so the
-    # one- and two-state shifts of that row are slices of the buffer.
-    alpha = np.full((t_len, s_len), neg_inf)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
-    prev = np.full(s_len + 2, neg_inf)
-    for t in range(1, t_len):
-        prev[2:] = alpha[t - 1]
-        stay, step, jump = prev[2:], prev[1:-1], prev[:-2] + jump_mask
-        alpha[t] = emit[t] + np.logaddexp(np.logaddexp(stay, step), jump)
-
-    if s_len > 1:
-        log_p = float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
-    else:
-        log_p = float(alpha[-1, -1])
-
-    # Suffix scores, exclusive of time t's own emission.
-    beta = np.full((t_len, s_len), neg_inf)
-    beta[-1, -1] = 0.0
-    if s_len > 1:
-        beta[-1, -2] = 0.0
-    nxt = np.full(s_len + 2, neg_inf)
-    for t in range(t_len - 2, -1, -1):
-        np.add(emit[t + 1], beta[t + 1], out=nxt[:s_len])
-        stay, step, jump = nxt[:s_len], nxt[1:-1], nxt[2:] + back_mask
-        beta[t] = np.logaddexp(np.logaddexp(stay, step), jump)
-
-    occupancy = alpha + beta  # (T, S), log posterior mass per lattice state
+    alpha = emit + _paths_into(emit, ext)
+    beta = _paths_into(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]  # suffixes, without frame t
+    log_p = float(np.logaddexp.reduce(alpha[-1, -2:]))  # end on the last label or blank
+    # Each state's posterior counts towards the class it emits.
     grad = np.zeros((t_len, num_classes))
-    for cls in np.unique(ext):
-        cols = occupancy[:, ext == cls]
-        m = cols.max(axis=1)
-        safe = m > neg_inf
-        acc = np.full(t_len, neg_inf)
-        acc[safe] = m[safe] + np.log(np.exp(cols[safe] - m[safe, None]).sum(axis=1))
-        grad[:, cls] = -np.exp(acc - log_p)
+    np.add.at(grad, (slice(None), ext), -np.exp(alpha + beta - log_p))
     return -log_p, grad
 
 
@@ -183,13 +162,9 @@ def greedy_decode(logp: np.ndarray, alphabet: Alphabet) -> str:
             f"frame has {logp.shape[1]} classes, alphabet expects {alphabet.num_classes}"
         )
     best = logp.argmax(axis=1)
-    chars = []
-    prev = -1
-    for idx in best:
-        if idx != prev and idx != BLANK_INDEX:
-            chars.append(alphabet.index_to_char(int(idx)))
-        prev = idx
-    return "".join(chars)
+    keep = best != BLANK_INDEX
+    keep[1:] &= best[1:] != best[:-1]  # the first frame of each run
+    return alphabet.decode(best[keep].tolist())
 
 
 def exact_match(pred: str, gt: str) -> bool:

@@ -206,7 +206,8 @@ def synth_fixture(
     noise scales a geometric perturbation of every predicted box; zero
     noise reproduces the ground truth exactly, and a noise of ~2 or more
     displaces each prediction by at least its own size (IoU reaches 0).
-    Any |noise| <= 1000 scales a side by at most e^200, inside the box range.
+    Any |noise| <= 80 scales a side by at least e^-16, so the smallest side,
+    about 2.6e-6, still reads back from write_predictions' six decimals.
     Transcripts are never corrupted.
     """
     rng = np.random.default_rng(seed)

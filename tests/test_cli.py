@@ -1,7 +1,12 @@
+import contextlib
 import io
+import itertools
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpcore.cli as cli
 from lpcore.dataio import parse_predictions, write_predictions
@@ -208,6 +213,9 @@ class TestSynth:
             ("--noise", "-inf"),
             ("--noise", "1e4"),
             ("--noise", "-1e4"),
+            ("--noise", "81"),
+            ("--noise", "-81"),
+            ("--noise", "100"),
             ("--seed", "-1"),
             ("--n", "-5"),
         ],
@@ -223,7 +231,7 @@ class TestSynth:
         assert flag in captured.err and message in captured.err
         assert "Traceback" not in captured.err and not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("noise", ["1000", "-1000"])
+    @pytest.mark.parametrize("noise", ["80", "-80"])
     def test_noise_bound_writes_files(self, tmp_path, capsys, noise):
         out = tmp_path / "d"
         rc = cli.main(["synth", "--seed", "1", "--n", "20", f"--noise={noise}", "--out", str(out)])
@@ -231,6 +239,9 @@ class TestSynth:
         assert len(parse_predictions(out / "gt.txt", ground_truth=True)) == 20
         gt_lines = (out / "gt.txt").read_text("utf-8").count("\n")
         assert (out / "pred.txt").read_text("utf-8").count("\n") == gt_lines
+        # every side written must read back inside the box range
+        rc = cli.main(["evaluate", "--gt", str(out / "gt.txt"), "--pred", str(out / "pred.txt")])
+        assert rc == 0
 
 
 class TestSelfcheck:
@@ -297,3 +308,68 @@ class TestBench:
         captured = capsys.readouterr()
         assert "argument --size: must be positive" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+# Tokens at and past every documented limit, empty, dash and flag tokens,
+# and paths, relative to the fixture directory, to a record file, a
+# directory, a missing file and a plain file (hostile as --out). No
+# integer token exceeds 3, which caps --n and --size.
+HOSTILE_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "3", "0.5", "1e400", "", "-", "--", "-h"]
+PATH_TOKENS = ["gt.txt", "pred.txt", "subdir", "missing.txt", "blocker.txt", "new"]
+# Each subcommand's flags (selfcheck left out) with values that run it.
+PLAUSIBLE_FLAGS = {
+    "evaluate": (
+        ("--gt", "gt.txt"),
+        ("--pred", "pred.txt"),
+        ("--iou", "0.5"),
+        ("--report", "report.txt"),
+        ("--ignore-unidentifiable",),
+        ("--no-timestamp",),
+    ),
+    "synth": (("--seed", "1"), ("--n", "3"), ("--noise", "0.5"), ("--out", "new")),
+    "bench": (("--size", "3"),),
+}
+
+
+def fuzzed_argv():
+    """A subcommand and its flags in any order, each kept, left out or
+    given a hostile token (a switch's token is a stray argument)."""
+    token = st.sampled_from(HOSTILE_TOKENS + PATH_TOKENS)
+
+    def flag(plausible):
+        hostile = token.map(lambda t: (plausible[0], t))
+        return st.one_of(st.just(plausible), st.just(()), hostile)
+
+    def argv_of(command):
+        flags = st.tuples(*map(flag, PLAUSIBLE_FLAGS[command])).flatmap(st.permutations)
+        return flags.map(lambda items: [command, *itertools.chain.from_iterable(items)])
+
+    return st.sampled_from(sorted(PLAUSIBLE_FLAGS)).flatmap(argv_of)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    hand_fixture(root)
+    (root / "subdir").mkdir()
+    (root / "blocker.txt").write_text("not a directory\n", encoding="utf-8")
+    return root
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=fuzzed_argv())
+    def test_exits_0_1_or_2(self, argv_dir, argv):
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(argv_dir)  # relative paths, and '' as a path, stay in the fixture
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -133,19 +133,24 @@ class TestCtcLoss:
         assert checked > 40
 
     def test_equals_concatenate_recursion(self):
+        # K from 2 to 69, up to 60 spare frames, every third target drawn
+        # from at most two labels (so repeats), half the cases peaked, and
+        # every ninth target empty (a one-state lattice)
         rng = np.random.default_rng(7)
-        targets = [[], [1], [3, 3], [2, 2, 2], [1, 2, 1], [4, 4, 1, 5, 5], [1, 2, 3, 4, 5, 6, 7]]
-        cases = 0
-        for target in targets:
+        for case in range(2000):
+            k = int(rng.integers(2, 70))
+            labels = k if case % 3 else min(k, 3)
+            target = [int(c) for c in rng.integers(1, labels, size=case % 9)]
             need = min_frames_for(target)
-            for t_len in {max(need, 1), need + 1, need + 6}:
-                logp = normalized_logits(rng, t_len, 8)
-                loss, grad = ctc_loss(logp, target)
-                want_loss, want_grad = ctc_loss_concatenate_reference(logp, target)
-                assert loss == want_loss
-                assert np.array_equal(grad, want_grad)
-                cases += 1
-        assert cases == 20
+            t_len = max(need + int(rng.integers(0, 61)), 1)
+            raw = rng.normal(size=(t_len, k))
+            if case % 2:
+                raw[np.arange(t_len), rng.integers(0, k, size=t_len)] += 12.0
+            logp = raw - np.logaddexp.reduce(raw, axis=1)[:, None]
+            loss, grad = ctc_loss(logp, target)
+            want_loss, want_grad = ctc_loss_concatenate_reference(logp, target)
+            assert loss == want_loss
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -205,8 +210,65 @@ class TestCtcLoss:
         with pytest.raises(ValueError):
             ctc_loss(logp, [5])
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_nan_and_plus_inf(self, entry, validate):
+        logp = np.log(np.full((3, 3), 1.0 / 3.0))
+        logp[1, 2] = entry
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            ctc_loss(logp, [1], validate=validate)
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            greedy_decode(logp, Alphabet(("a", "b")))
+
+    def test_rejects_row_of_minus_inf(self):
+        logp = np.log(np.full((3, 3), 1.0 / 3.0))
+        logp[1] = -np.inf
+        with pytest.raises(ValueError, match="row of -inf"):
+            ctc_loss(logp, [1])
+        with pytest.raises(ValueError, match="row of -inf"):
+            greedy_decode(logp, Alphabet(("a", "b")))
+
+    def test_accepts_normalized_row_with_minus_inf(self):
+        logp = np.log(np.full((2, 3), 0.5))
+        logp[:, 2] = -np.inf
+        loss, grad = ctc_loss(logp, [1])
+        assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
+        assert np.all(grad[:, 2] == 0.0)
+        assert greedy_decode(logp, Alphabet(("a", "b"))) == ""
+
+
+def greedy_decode_loop_reference(logp, alphabet):
+    """Frame-by-frame best path: keep a frame's argmax if it starts a non-blank run."""
+    chars = []
+    prev = -1
+    for idx in logp.argmax(axis=1):
+        if idx != prev and idx != BLANK_INDEX:
+            chars.append(alphabet.index_to_char(int(idx)))
+        prev = idx
+    return "".join(chars)
+
 
 class TestGreedyDecode:
+    def test_equals_loop_reference(self):
+        # best paths over three classes: runs, repeats split by a blank and
+        # all-blank frames come up often; every tenth case peaks no frame
+        rng = np.random.default_rng(8)
+        ab = default_alphabet()
+        seen_empty = seen_split = 0
+        for case in range(500):
+            t_len = int(rng.integers(1, 30))
+            classes = rng.choice(ab.num_classes, size=3, replace=False)
+            classes[0] = BLANK_INDEX
+            raw = rng.normal(size=(t_len, ab.num_classes))
+            if case % 10:
+                raw[np.arange(t_len), rng.choice(classes, size=t_len)] += 12.0
+            logp = raw - np.logaddexp.reduce(raw, axis=1)[:, None]
+            want = greedy_decode_loop_reference(logp, ab)
+            assert greedy_decode(logp, ab) == want
+            seen_empty += want == ""
+            seen_split += any(a == b for a, b in zip(want, want[1:]))
+        assert seen_empty > 0 and seen_split > 0
+
     def test_collapse_and_blank_removal(self):
         ab = Alphabet(("a", "b"))
         # frames argmax to: -, -, a, a, -, b

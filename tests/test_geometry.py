@@ -38,6 +38,19 @@ def rboxes(max_center=50.0, min_side=0.5, max_side=20.0):
     )
 
 
+def dyadic_rboxes():
+    """Boxes on a 2^-16 grid (theta on a 2^-20 fraction of pi/4): every field
+    is 0 or far from the subnormals, so scaling by 2^k is exact."""
+    grid = st.integers(-(2**20), 2**20).map(lambda i: i * 2.0**-16)
+    side = st.integers(2**15, 2**20).map(lambda i: i * 2.0**-16)
+    turn = st.integers(-(2**20), 2**20 - 1).map(lambda i: i * 2.0**-20 * QUARTER_PI)
+    return st.builds(RotatedBox, cx=grid, cy=grid, w=side, h=side, theta=turn)
+
+
+def scaled(box, f):
+    return RotatedBox(box.cx * f, box.cy * f, box.w * f, box.h * f, box.theta)
+
+
 def random_box(rng, span=5.0):
     return RotatedBox(
         rng.uniform(-span, span),
@@ -240,6 +253,29 @@ class TestRotatedIou:
                 )
 
             assert abs(rotated_iou(moved(a), moved(b)) - base) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(rboxes(max_center=10.0), rboxes(max_center=10.0), st.floats(-math.pi, math.pi))
+    def test_rotation_about_origin_invariance(self, a, b, ang):
+        c, s = math.cos(ang), math.sin(ang)
+
+        def turned(box):
+            x, y = box.cx, box.cy
+            return RotatedBox(c * x - s * y, s * x + c * y, box.w, box.h, box.theta + ang)
+
+        assert abs(rotated_iou(turned(a), turned(b)) - rotated_iou(a, b)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_rboxes(), dyadic_rboxes(), st.integers(-300, 300))
+    def test_power_of_two_scaling_exact(self, a, b, k):
+        assert rotated_iou(scaled(a, 2.0**k), scaled(b, 2.0**k)) == rotated_iou(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_rboxes(), dyadic_rboxes(), st.floats(-149.0, 148.0))
+    def test_scaling_invariance_within_box_range(self, a, b, exponent):
+        # sides lie in [0.5, 16], so 10^exponent keeps them in [MIN_SIDE, MAX_SIDE]
+        f = 10.0**exponent
+        assert abs(rotated_iou(scaled(a, f), scaled(b, f)) - rotated_iou(a, b)) <= 1e-12
 
     def test_monte_carlo_agreement_reduced(self):
         # full 1000 x 1e6 run lives in the acceptance suite
@@ -473,6 +509,20 @@ class TestRotatedNms:
         for i, k1 in enumerate(kept):
             for k2 in kept[i + 1 :]:
                 assert rotated_iou(k1.box, k2.box) <= 0.3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.builds(ScoredBox, rboxes(max_center=10.0), st.floats(0.0, 1.0)), max_size=12),
+        st.floats(0.0, 1.0),
+    )
+    def test_idempotent_score_ordered_subset(self, boxes, thresh):
+        kept = rotated_nms(boxes, thresh)
+        assert rotated_nms(kept, thresh) == kept
+        scores = [k.score for k in kept]
+        assert scores == sorted(scores, reverse=True)
+        # each kept box is a distinct input object
+        assert len({id(k) for k in kept}) == len(kept)
+        assert all(any(k is b for b in boxes) for k in kept)
 
     def test_kept_set_matches_quad_reference(self):
         rng = np.random.default_rng(29)
