@@ -160,9 +160,8 @@ def assign_targets(
         return Assignment(
             np.full(n, NEGATIVE, dtype=np.int64), np.zeros(n), pos_iou, neg_iou
         )
-    # the grid's array was checked at construction and its boxes are built
-    # once per grid, so a call builds neither
-    iou = _iou_matrix(grid.boxes, _box_array(gts), grid.anchors, gts)
+    # the grid's array was checked at construction; gts' fields are canonical
+    iou = _iou_matrix(grid.boxes, _box_array(gts))
     best_gt = iou.argmax(axis=1)
     max_iou = iou.max(axis=1)
 

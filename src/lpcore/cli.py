@@ -20,7 +20,7 @@ from . import ctc, dataio, losses, oracles
 from .errors import ParseError
 from .feature_ops import CropSpec, FeatureMap, rroi_align
 from .geometry import RotatedBox, ScoredBox, rotated_iou, rotated_nms
-from .spotting import SpottingCounts, aggregate, match_records
+from .spotting import SpottingCounts, _match_columns, aggregate
 
 REPORT_FORMAT = "lpcore-eval-report-v1"
 
@@ -40,10 +40,10 @@ class EvalReport:
 
     @property
     def totals(self) -> SpottingCounts:
-        total = SpottingCounts()
-        for _, c in self.per_image:
-            total = total + c
-        return total
+        counts = [c for _, c in self.per_image]
+        return SpottingCounts(
+            sum(c.tp for c in counts), sum(c.fp for c in counts), sum(c.fn for c in counts)
+        )
 
 
 def _format_report(report: EvalReport, timestamp: bool) -> str:
@@ -80,11 +80,11 @@ def cmd_evaluate(
 ) -> EvalReport:
     """Score predictions against ground truth; prints a per-image table."""
     out = out if out is not None else sys.stdout
-    gts = dataio.parse_predictions(gt_path, ground_truth=True)
-    preds = dataio.parse_predictions(pred_path)
-    per_image = match_records(
-        gts, preds, iou_thresh=iou_thresh, ignore_unidentifiable=ignore_unidentifiable
-    )
+    gts = dataio._read_records(gt_path, ground_truth=True)
+    preds = dataio._read_records(pred_path, ground_truth=False)
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
+    per_image = _match_columns(gts, preds, iou_thresh, ignore_unidentifiable)
     recall, precision, fscore = aggregate([c for _, c in per_image])
     report = EvalReport(
         recall,

@@ -1,8 +1,9 @@
 """CTC transcription: alphabet handling, loss with gradient, greedy decoding.
 
 Class 0 is always the blank. The loss runs entirely in log space so long
-frames cannot underflow; targets that cannot fit in the frame raise
-InfeasibleTargetError instead of returning infinity.
+frames cannot underflow; targets that cannot fit in the frame, or that
+the log-probs give probability 0, raise InfeasibleTargetError instead of
+returning infinity.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def ctc_loss(
     alpha = emit + _paths_into(emit, ext)
     beta = _paths_into(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]  # suffixes, without frame t
     log_p = float(np.logaddexp.reduce(alpha[-1, -2:]))  # end on the last label or blank
+    if log_p == -np.inf:
+        raise InfeasibleTargetError("every path that emits the target has probability 0")
     # Each state's posterior counts towards the class it emits.
     grad = np.zeros((t_len, num_classes))
     np.add.at(grad, (slice(None), ext), -np.exp(alpha + beta - log_p))

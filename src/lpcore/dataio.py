@@ -20,7 +20,7 @@ import numpy as np
 
 from .ctc import DEFAULT_SYMBOLS, PROVINCES, Alphabet
 from .errors import DegenerateQuadError, ParseError
-from .geometry import Quad, RotatedBox
+from .geometry import Quad, RotatedBox, _checked_box_array
 from .spotting import SpottingItem, SpottingRecord, is_unidentifiable
 
 
@@ -127,7 +127,62 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
 
     With ground_truth, every score field must be empty.
     """
+    ids, scores, has_score, boxes, texts = _read_records(path, ground_truth)
     grouped: dict[str, list[SpottingItem]] = {}
+    for image_id, score, has, row, text in zip(ids, scores, has_score, boxes.tolist(), texts):
+        item = SpottingItem(RotatedBox(*row), text, score if has else None)
+        grouped.setdefault(image_id, []).append(item)
+    return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
+
+
+# _read_records reads and splits lines of about this many characters at a
+# time, so that few of a file's strings live at once
+_BLOCK_CHARS = 1 << 16
+
+
+def _read_records(path, ground_truth: bool):
+    """A record file as columns, one row per plate in file order.
+
+    Returns (image ids, scores, has-score mask, boxes, transcripts): lists,
+    except boxes, an (N, 5) float64 array of canonical RotatedBox fields. A
+    missing score reads 0.0. Lines are only split here; the numbers are
+    parsed and checked in bulk, and on any failure the file is checked again
+    line by line, so the ParseError is the first bad line's.
+    """
+    ids, score_fields, texts, numbers = [], [], [], [np.zeros((5, 0))]
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            while block := f.readlines(_BLOCK_CHARS):
+                lines = [line for line in block if line.count(",") == 7]
+                # a line of 8 fields holds 7 commas; any other line must be blank
+                if len(lines) < len(block) and any(
+                    line.strip() for line in block if line.count(",") != 7
+                ):
+                    raise ValueError("a line does not hold 8 fields")
+                if not lines:
+                    continue
+                fields = "".join(lines).rstrip("\n").replace("\n", ",").split(",")
+                ids += fields[0::8]
+                score_fields += fields[1::8]
+                texts += fields[7::8]
+                numbers.append(np.array([fields[k::8] for k in range(2, 7)], dtype=np.float64))
+        boxes = _checked_box_array(np.concatenate(numbers, axis=1).T, "boxes")
+        has_score = [s != "" for s in score_fields]
+        scores = np.zeros(len(ids))
+        scores[has_score] = np.array([s for s in score_fields if s], dtype=np.float64)
+    except ValueError:  # a UnicodeDecodeError is one too
+        _raise_first_bad_record(path, ground_truth)
+    if (
+        "" in ids
+        or (ground_truth and any(has_score))
+        or not ((scores >= 0.0) & (scores <= 1.0)).all()
+    ):
+        _raise_first_bad_record(path, ground_truth)
+    return ids, scores.tolist(), has_score, boxes, texts
+
+
+def _raise_first_bad_record(path, ground_truth: bool):
+    """Check a record file line by line and raise the first bad line's ParseError."""
     for no, line in _text_lines(path):
         if not line.strip():
             continue
@@ -138,8 +193,7 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
                 path=str(path),
                 line=no,
             )
-        image_id = fields[0]
-        if not image_id:
+        if not fields[0]:
             raise ParseError("empty image_id", path=str(path), line=no)
         if ground_truth and fields[1]:
             raise ParseError(
@@ -155,11 +209,10 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
         if score is not None and not 0.0 <= score <= 1.0:
             raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
         try:
-            box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
+            RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
         except ValueError as exc:
             raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
-        grouped.setdefault(image_id, []).append(SpottingItem(box, fields[7], score))
-    return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
+    raise AssertionError(f"{path}: the bulk record check failed but no line does")
 
 
 BLANK_MARKER = "<b>"

@@ -216,14 +216,16 @@ def quad_to_rbox(q: Quad) -> RotatedBox:
 
 def rbox_to_quad(b: RotatedBox) -> Quad:
     """Corners counter-clockwise starting at box-local (-w/2, -h/2)."""
-    return Quad(_corners(b, 0.0, 0.0))
+    return Quad(_corners(b.cx, b.cy, b.w, b.h, b.theta, 0.0, 0.0))
 
 
-def _corners(b: RotatedBox, ox: float, oy: float) -> list[Point]:
-    """Unvalidated corners of ``b`` relative to (ox, oy), in rbox_to_quad's order."""
-    c, s = math.cos(b.theta), math.sin(b.theta)
-    hw, hh = b.w / 2.0, b.h / 2.0
-    x, y = b.cx - ox, b.cy - oy
+def _corners(cx: float, cy: float, w: float, h: float, theta: float,
+             ox: float, oy: float) -> list[Point]:
+    """Unvalidated corners of box (cx, cy, w, h, theta) relative to (ox, oy),
+    in rbox_to_quad's order."""
+    c, s = math.cos(theta), math.sin(theta)
+    hw, hh = w / 2.0, h / 2.0
+    x, y = cx - ox, cy - oy
     wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
     return [
         (x - wc + hs, y - ws - hc),
@@ -267,16 +269,23 @@ def rotated_iou(a: RotatedBox, b: RotatedBox) -> float:
     Disjoint circumcircles give exactly 0.0. Clipping runs relative to one
     box's centre, so precision does not depend on the distance from the origin.
     """
-    dx, dy = b.cx - a.cx, b.cy - a.cy
-    reach = 0.5 * (math.hypot(a.w, a.h) + math.hypot(b.w, b.h))
+    return _iou(a.cx, a.cy, a.w, a.h, a.theta, b.cx, b.cy, b.w, b.h, b.theta)
+
+
+def _iou(ax, ay, aw, ah, at, bx, by, bw, bh, bt) -> float:
+    """rotated_iou of two boxes given as canonical (cx, cy, w, h, theta) floats."""
+    dx, dy = bx - ax, by - ay
+    reach = 0.5 * (math.hypot(aw, ah) + math.hypot(bw, bh))
     if dx * dx + dy * dy > reach * reach:
         return 0.0
     # canonical argument order makes the result exactly symmetric
-    if (b.cx, b.cy, b.w, b.h, b.theta) < (a.cx, a.cy, a.w, a.h, a.theta):
-        a, b = b, a
-    inter_poly = _clip_polygon(_corners(a, a.cx, a.cy), _corners(b, a.cx, a.cy))
+    if (bx, by, bw, bh, bt) < (ax, ay, aw, ah, at):
+        ax, ay, aw, ah, at, bx, by, bw, bh, bt = bx, by, bw, bh, bt, ax, ay, aw, ah, at
+    inter_poly = _clip_polygon(
+        _corners(ax, ay, aw, ah, at, ax, ay), _corners(bx, by, bw, bh, bt, ax, ay)
+    )
     inter = abs(_shoelace(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    union = a.area + b.area - inter
+    union = aw * ah + bw * bh - inter
     if inter <= 0.0 or union <= 0.0:
         return 0.0
     return min(inter / union, 1.0)
@@ -295,7 +304,11 @@ def _box_array(boxes) -> np.ndarray:
 
 
 def _checked_box_array(boxes, name: str) -> np.ndarray:
-    """``boxes`` as an (N, 5) float64 array; each row must be valid RotatedBox fields."""
+    """``boxes`` as an (N, 5) float64 array of canonical RotatedBox fields.
+
+    Each row must be valid RotatedBox fields; rows with theta outside
+    [-pi/4, pi/4) are folded as RotatedBox folds them, in a copy.
+    """
     arr = np.asarray(boxes)
     if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 5:
         raise ValueError(f"{name} must be an (N, 5) real array, got {arr.dtype} {arr.shape}")
@@ -305,6 +318,12 @@ def _checked_box_array(boxes, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} holds a non-finite field or a side outside [{MIN_SIDE:g}, {MAX_SIDE:g}]"
         )
+    theta = arr[:, 4]
+    unfolded = np.flatnonzero((theta < -_QUARTER_PI) | (theta >= _QUARTER_PI))
+    if unfolded.size:
+        arr = arr.copy()
+        for i in unfolded.tolist():
+            arr[i, 2:] = _fold_angle(*arr[i, 2:].tolist())
     return arr
 
 
@@ -314,29 +333,22 @@ def rotated_iou_matrix(a, b) -> np.ndarray:
     ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta),
     each row valid as RotatedBox fields. One vectorised circumcircle test, a
     hair looser than rotated_iou's early-out, zeroes the disjoint pairs; every
-    other pair goes through ``rotated_iou`` itself, so each entry has exactly
-    its bits.
+    other pair goes through rotated_iou's kernel on the canonical rows, so
+    each entry has exactly the bits of ``rotated_iou`` on the rows' boxes.
     """
     return _iou_matrix(_checked_box_array(a, "a"), _checked_box_array(b, "b"))
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray, boxes_a=None, boxes_b=None) -> np.ndarray:
-    """rotated_iou_matrix of checked arrays. ``boxes_a`` and ``boxes_b``, when
-    given, are the rows as RotatedBox objects; otherwise each row a surviving
-    pair needs is built from the array."""
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rotated_iou_matrix of checked, canonical arrays."""
     with np.errstate(over="ignore"):  # centres far apart: inf distance, a zero
         dx = b[:, 0] - a[:, 0, None]
         dy = b[:, 1] - a[:, 1, None]
         reach = 0.5 * np.hypot(a[:, 2], a[:, 3])[:, None] + 0.5 * np.hypot(b[:, 2], b[:, 3])
         reach *= _REACH_SLACK
         rows, cols = np.nonzero(dx * dx + dy * dy <= reach * reach)
-    if boxes_a is None:
-        boxes_a = {i: RotatedBox(*a[i].tolist()) for i in np.unique(rows).tolist()}
-    if boxes_b is None:
-        boxes_b = {j: RotatedBox(*b[j].tolist()) for j in np.unique(cols).tolist()}
     out = np.zeros((len(a), len(b)))
-    pairs = zip(rows.tolist(), cols.tolist())
-    out[rows, cols] = [rotated_iou(boxes_a[i], boxes_b[j]) for i, j in pairs]
+    out[rows, cols] = list(map(_iou, *a[rows].T.tolist(), *b[cols].T.tolist()))
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .ctc import exact_match
 from .errors import ImageIdMismatchError
-from .geometry import RotatedBox, rotated_iou
+from .geometry import RotatedBox, _box_array, _iou
 
 DEFAULT_IOU_THRESH = 0.6
 UNIDENTIFIABLE_CHAR = "*"
@@ -76,41 +76,80 @@ def match_image(
     """
     if gt.image_id != pred.image_id:
         raise ImageIdMismatchError(f"image ids differ: {gt.image_id!r} vs {pred.image_id!r}")
-    order = sorted(range(len(pred.items)), key=lambda i: -(pred.items[i].score or 0.0))
-    taken = [False] * len(gt.items)
-    matched_tp = [False] * len(gt.items)
-    tp = 0
-    fp = 0
-    for i in order:
-        p = pred.items[i]
-        best_j = -1
-        best_iou = 0.0
-        for j, g in enumerate(gt.items):
-            if taken[j]:
-                continue
-            v = rotated_iou(p.box, g.box)
-            if v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0 and best_iou > iou_thresh:
-            taken[best_j] = True
-            g = gt.items[best_j]
-            if is_unidentifiable(g.transcript):
-                if not ignore_unidentifiable:
+    counts = _match_columns(_columns([gt]), _columns([pred]), iou_thresh, ignore_unidentifiable)
+    return counts[0][1] if counts else SpottingCounts()
+
+
+def _columns(records: list[SpottingRecord]):
+    """Records as the columns dataio._read_records returns for a file."""
+    items = [(r.image_id, item) for r in records for item in r.items]
+    return (
+        [image_id for image_id, _ in items],
+        [item.score or 0.0 for _, item in items],
+        [item.score is not None for _, item in items],
+        _box_array([item.box for _, item in items]),
+        [item.transcript for _, item in items],
+    )
+
+
+def _match_columns(
+    gt, pred, iou_thresh: float, ignore_unidentifiable: bool
+) -> list[tuple[str, SpottingCounts]]:
+    """match_image on every image of two record columns, sorted by image id.
+
+    ``gt`` and ``pred`` are columns as dataio._read_records returns them.
+    Rows of one image id form one image, in row order; a missing score
+    counts as 0. An image with rows on one side only is matched against
+    an empty image.
+    """
+    gt_ids, _, _, gt_boxes, gt_texts = gt
+    pred_ids, scores, _, pred_boxes, pred_texts = pred
+    gx, gy, gw, gh, gtheta = gt_boxes.T.tolist()
+    px, py, pw, ph, ptheta = pred_boxes.T.tolist()
+    gt_rows = _rows_by_image(gt_ids)
+    pred_rows = _rows_by_image(pred_ids)
+    neg_score = [-s for s in scores]
+    taken = [False] * len(gt_ids)
+    out = []
+    for image_id in sorted(gt_rows.keys() | pred_rows.keys()):
+        g_rows = gt_rows.get(image_id, ())
+        tp = fp = 0
+        # sorted is stable: tied scores keep row order
+        for i in sorted(pred_rows.get(image_id, ()), key=neg_score.__getitem__):
+            ax, ay, aw, ah, at = px[i], py[i], pw[i], ph[i], ptheta[i]
+            best_j = -1
+            best_iou = 0.0
+            for j in g_rows:
+                if taken[j]:
+                    continue
+                v = _iou(ax, ay, aw, ah, at, gx[j], gy[j], gw[j], gh[j], gtheta[j])
+                if v > best_iou:
+                    best_j, best_iou = j, v
+            if best_j >= 0 and best_iou > iou_thresh:
+                taken[best_j] = True
+                g_text = gt_texts[best_j]
+                if is_unidentifiable(g_text):
+                    if not ignore_unidentifiable:
+                        fp += 1
+                elif exact_match(pred_texts[i], g_text):
+                    tp += 1
+                else:
                     fp += 1
-            elif exact_match(p.transcript, g.transcript):
-                matched_tp[best_j] = True
-                tp += 1
             else:
                 fp += 1
-        else:
-            fp += 1
-    fn = 0
-    for j, g in enumerate(gt.items):
-        if ignore_unidentifiable and is_unidentifiable(g.transcript):
-            continue
-        if not matched_tp[j]:
-            fn += 1
-    return SpottingCounts(tp, fp, fn)
+        # every TP is an identifiable ground truth, and no other is matched
+        scored = len(g_rows)
+        if ignore_unidentifiable:
+            scored -= sum(is_unidentifiable(gt_texts[j]) for j in g_rows)
+        out.append((image_id, SpottingCounts(tp, fp, scored - tp)))
+    return out
+
+
+def _rows_by_image(ids: list[str]) -> dict[str, list[int]]:
+    rows: dict[str, list[int]] = {}
+    for i, image_id in enumerate(ids):
+        rows.setdefault(image_id, []).append(i)
+    return rows
 
 
 def aggregate(counts: list[SpottingCounts]) -> tuple[float, float, float]:
@@ -151,9 +190,8 @@ def match_records(
         raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
     gt_by_id = _by_image_id(gts, "ground-truth")
     pred_by_id = _by_image_id(preds, "prediction")
-    out = []
-    for image_id in sorted(set(gt_by_id) | set(pred_by_id)):
-        g = gt_by_id.get(image_id) or SpottingRecord(image_id)
-        p = pred_by_id.get(image_id) or SpottingRecord(image_id)
-        out.append((image_id, match_image(g, p, iou_thresh, ignore_unidentifiable)))
-    return out
+    counts = dict(_match_columns(_columns(gts), _columns(preds), iou_thresh, ignore_unidentifiable))
+    return [
+        (image_id, counts.get(image_id) or SpottingCounts())
+        for image_id in sorted(gt_by_id.keys() | pred_by_id.keys())
+    ]

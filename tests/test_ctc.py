@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcore.ctc import (
     Alphabet,
@@ -235,6 +238,40 @@ class TestCtcLoss:
         assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
         assert np.all(grad[:, 2] == 0.0)
         assert greedy_decode(logp, Alphabet(("a", "b"))) == ""
+
+    def test_zero_probability_target_is_infeasible(self):
+        # every path that emits the target passes class 1, which no frame can emit
+        logp = np.log(np.full((2, 3), 0.5))
+        logp[:, 1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleTargetError, match="probability 0"):
+                ctc_loss(logp, [1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(2, 5)),
+        target_len=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_minus_inf_masks_raise_or_stay_finite(self, shape, target_len, data):
+        t_len, k = shape
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=t_len * k, max_size=t_len * k)))
+        mask = mask.reshape(t_len, k)
+        mask[:, data.draw(st.integers(0, k - 1))] = False  # no row is all -inf
+        labels = st.integers(1, k - 1)
+        target = data.draw(st.lists(labels, min_size=target_len, max_size=target_len))
+        raw = np.random.default_rng(t_len * 10 + k).normal(size=(t_len, k))
+        raw[mask] = -np.inf
+        logp = raw - np.logaddexp.reduce(raw, axis=1)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                loss, grad = ctc_loss(logp, target)
+            except InfeasibleTargetError:
+                return
+        assert math.isfinite(loss)
+        assert np.isfinite(grad).all()
 
 
 def greedy_decode_loop_reference(logp, alphabet):

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from lpcore.ctc import DEFAULT_SYMBOLS, Alphabet
 from lpcore.dataio import (
     Annotation,
+    _read_records,
     PlateType,
     load_alphabet,
     parse_annotation_file,
@@ -331,3 +335,182 @@ class TestSynthFixture:
             assert all(ch in DEFAULT_SYMBOLS for ch in item.transcript)
         assert all(it.score is not None for it in pred.items)
         assert all(it.score is None for it in gt.items)
+
+
+def _reference_text_lines(path):
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            for no, line in enumerate(f, start=1):
+                yield no, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+
+
+def reference_parse_predictions(path, ground_truth=False):
+    """The line-by-line record parser the column reader replaced, as an oracle."""
+    grouped = {}
+    for no, line in _reference_text_lines(path):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 8:
+            raise ParseError(
+                f"expected 8 comma-separated fields, got {len(fields)}", path=str(path), line=no
+            )
+        image_id = fields[0]
+        if not image_id:
+            raise ParseError("empty image_id", path=str(path), line=no)
+        if ground_truth and fields[1]:
+            raise ParseError(
+                f"ground-truth score field must be empty, got {fields[1]!r}",
+                path=str(path),
+                line=no,
+            )
+        try:
+            score = None if fields[1] == "" else float(fields[1])
+            nums = [float(v) for v in fields[2:7]]
+        except ValueError:
+            raise ParseError("non-numeric box field", path=str(path), line=no)
+        if score is not None and not 0.0 <= score <= 1.0:
+            raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
+        try:
+            box = RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
+        except ValueError as exc:
+            raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
+        grouped.setdefault(image_id, []).append(SpottingItem(box, fields[7], score))
+    return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
+
+
+def parse_outcome(parse, path, ground_truth):
+    """Records and their repr (which tells -0.0 from 0.0), or the error's details."""
+    try:
+        records = parse(path, ground_truth=ground_truth)
+    except ParseError as exc:
+        return ("error", type(exc), str(exc), exc.path, exc.line)
+    return ("records", records, repr(records))
+
+
+# one malformed line of each kind; "gt_score" is malformed only as ground truth
+_BAD_LINES = {
+    "fields": ["img0,0.5,1,1,4,2,0", "img0,0.5,1,1,4,2,0,A,B", "img0"],
+    "empty_id": [",0.5,1,1,4,2,0,A", ",,1,1,4,2,0,A"],
+    "gt_score": ["img1,0.5,1,1,4,2,0,A", "img1,1,1,1,4,2,3.0,A"],
+    "non_numeric": ["img0,x,1,1,4,2,0,A", "img0,0.5,1,1,four,2,0,A", "img0,,1,,4,2,0,A"],
+    "bad_score": ["img0,nan,1,1,4,2,0,A", "img0,1.5,1,1,4,2,0,A", "img0,-0.25,1,1,4,2,0,A",
+                  "img0,inf,1,1,4,2,0,A"],
+    "non_finite_box": ["img0,0.5,inf,1,4,2,0,A", "img0,,1,nan,4,2,0,A", "img0,0.5,1,1,4,2,1e400,A",
+                       "img0,,1,1,-inf,2,0,A"],
+    "side": ["img0,0.5,1,1,0,2,0,A", "img0,,1,1,4,-3,0,A", "img0,0.5,1,1,1e-151,2,0,A",
+             "img0,0.5,1,1,4,1e151,0,A"],
+}
+
+
+def _field(rng, value):
+    return [f"{value:.6f}", repr(value), f" {value!r} ", f"{value:e}", f"{value:.2f}"][
+        int(rng.integers(5))
+    ]
+
+
+def _good_line(rng, scored):
+    image_id = ["img0", "img1", "img2", "京A", "*", "\ufeffimg0"][int(rng.integers(6))]
+    score = ""
+    if scored and rng.random() < 0.9:
+        drawn = _field(rng, float(rng.uniform(0.0, 1.0)))
+        score = ["0", "1", "1_0e-1", drawn][int(rng.integers(4))]
+    box = [rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), rng.uniform(1.0, 50.0),
+           rng.uniform(1.0, 50.0), rng.uniform(-math.pi, math.pi)]
+    text = ["京A12345", "", "*", "A B", "沪B6789*"][int(rng.integers(5))]
+    return ",".join([image_id, score, *(_field(rng, float(v)) for v in box), text])
+
+
+def _record_file(rng, n_bad):
+    scored = rng.random() < 0.6
+    lines = [_good_line(rng, scored) for _ in range(int(rng.integers(0, 25)))]
+    for _ in range(int(rng.integers(0, 4))):
+        lines.insert(int(rng.integers(len(lines) + 1)), ["", "  ", "\t"][int(rng.integers(3))])
+    kinds = []
+    for _ in range(n_bad):
+        kind = sorted(_BAD_LINES)[int(rng.integers(len(_BAD_LINES)))]
+        choices = _BAD_LINES[kind]
+        lines.insert(int(rng.integers(len(lines) + 1)), choices[int(rng.integers(len(choices)))])
+        kinds.append(kind)
+    newline = ["\n", "\r\n", "\r"][int(rng.integers(3))]
+    text = newline.join(lines) + (newline if rng.random() < 0.7 else "")
+    return ("\ufeff" if rng.random() < 0.3 else "") + text, kinds
+
+
+def record_columns(path, ground_truth):
+    """_read_records' rows, stably regrouped by image id in first-seen order."""
+    ids, scores, has_score, boxes, texts = _read_records(path, ground_truth)
+    first = {}
+    for image_id in ids:
+        first.setdefault(image_id, len(first))
+    order = sorted(range(len(ids)), key=lambda k: first[ids[k]])
+    columns = (ids, scores, has_score, boxes.tolist(), texts)
+    return repr(tuple([column[k] for k in order] for column in columns))
+
+
+def columns_of(records):
+    """The grouped rows of these records, as record_columns gives them."""
+    items = [(r.image_id, it) for r in records for it in r.items]
+    return repr(
+        (
+            [i for i, _ in items],
+            [0.0 if it.score is None else it.score for _, it in items],
+            [it.score is not None for _, it in items],
+            [[it.box.cx, it.box.cy, it.box.w, it.box.h, it.box.theta] for _, it in items],
+            [it.transcript for _, it in items],
+        )
+    )
+
+
+class TestColumnReaderEquivalence:
+    def test_equals_line_parser_on_seeded_files(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "records.txt"
+        messages = set()
+        records = first_of_two = 0
+        for case in range(1500):
+            text, kinds = _record_file(rng, n_bad=case % 3)
+            path.write_text(text, encoding="utf-8", newline="")
+            for ground_truth in (False, True):
+                want = parse_outcome(reference_parse_predictions, path, ground_truth)
+                got = parse_outcome(parse_predictions, path, ground_truth)
+                assert got == want, (text, ground_truth)
+                if want[0] == "records":
+                    records += bool(want[1])
+                    assert record_columns(path, ground_truth) == columns_of(want[1])
+                else:
+                    messages.add(want[2].split(": ", 1)[1].split(" ")[0])
+                    first_of_two += len(set(kinds) - {"gt_score"}) == 2
+        assert records > 300
+        assert first_of_two > 100  # files whose two bad lines differ in kind
+        assert messages == {
+            "expected", "empty", "ground-truth", "non-numeric", "score", "invalid"
+        }, messages
+
+    @pytest.mark.parametrize("bad", [None, "side", "fields"])
+    def test_equals_line_parser_across_read_blocks(self, tmp_path, bad):
+        # about 400 kB: the reader takes it in several blocks of lines
+        rng = np.random.default_rng(7)
+        lines = [_good_line(rng, scored=True) for _ in range(5000)]
+        for k in range(0, 5000, 700):
+            lines.insert(k, " ")
+        if bad is not None:
+            lines.insert(4321, _BAD_LINES[bad][0])
+        path = tmp_path / "records.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = parse_outcome(reference_parse_predictions, path, False)
+        assert parse_outcome(parse_predictions, path, False) == want
+        assert want[0] == ("records" if bad is None else "error")
+        if bad is None:
+            assert record_columns(path, False) == columns_of(want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_line_parser_on_fuzzed_files(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz_equivalence.txt"
+        path.write_bytes(data.draw(text_files(_RECORD_LINES)))
+        for ground_truth in (False, True):
+            want = parse_outcome(reference_parse_predictions, path, ground_truth)
+            assert parse_outcome(parse_predictions, path, ground_truth) == want

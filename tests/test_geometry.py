@@ -13,6 +13,7 @@ from lpcore.geometry import (
     Quad,
     RotatedBox,
     ScoredBox,
+    _checked_box_array,
     _clip_polygon,
     _shoelace,
     quad_to_rbox,
@@ -421,6 +422,34 @@ class TestRotatedIouMatrix:
     @given(raw_rows(), raw_rows())
     def test_equals_scalar_on_unfolded_rows(self, a, b):
         assert_matrix_is_scalar(a, b)
+
+    def test_equals_scalar_with_any_angle(self):
+        # seeded rows with theta over [-pi, pi], the fold's edges included,
+        # close enough that most pairs clip
+        rng = np.random.default_rng(29)
+        rows = np.column_stack(
+            [
+                rng.uniform(-4.0, 4.0, 160),
+                rng.uniform(-4.0, 4.0, 160),
+                rng.uniform(1.0, 8.0, 160),
+                rng.uniform(1.0, 8.0, 160),
+                rng.uniform(-math.pi, math.pi, 160),
+            ]
+        )
+        edges = [-math.pi, -3 * QUARTER_PI, -2 * QUARTER_PI, -QUARTER_PI, 0.0]
+        edges += [QUARTER_PI, 2 * QUARTER_PI, 3 * QUARTER_PI, math.pi]
+        rows[: len(edges), 4] = edges
+        before = rows.copy()
+        got = assert_matrix_is_scalar(rows[:80], rows[80:])
+        assert np.count_nonzero(got) > 2000
+        np.testing.assert_array_equal(rows, before)  # folded in a copy
+
+    def test_checked_rows_are_the_boxes_fields(self):
+        rng = np.random.default_rng(31)
+        rows = np.column_stack([rng.uniform(1.0, 8.0, (500, 4)), rng.uniform(-4.0, 4.0, 500)])
+        got = _checked_box_array(rows, "rows").tolist()
+        want = [[b.cx, b.cy, b.w, b.h, b.theta] for b in map(RotatedBox, *rows.T.tolist())]
+        assert got == want
 
     def test_equals_scalar_on_wide_range_pairs(self):
         pairs = wide_range_pairs(2000, seed=41) + wide_range_pairs(4000, seed=43, reach=(-12, 12))

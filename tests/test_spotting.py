@@ -1,6 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
+from lpcore import cli
+from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.errors import ImageIdMismatchError
 from lpcore.geometry import RotatedBox, rotated_iou
 from lpcore.spotting import (
@@ -213,3 +217,122 @@ class TestValidation:
     def test_counts_nonnegative(self):
         with pytest.raises(ValueError):
             SpottingCounts(-1, 0, 0)
+
+
+def reference_match_image(gt, pred, iou_thresh=0.6, ignore_unidentifiable=False):
+    """The per-image greedy loop the column matcher replaced, as an oracle."""
+    order = sorted(range(len(pred.items)), key=lambda i: -(pred.items[i].score or 0.0))
+    taken = [False] * len(gt.items)
+    matched_tp = [False] * len(gt.items)
+    tp = fp = 0
+    for i in order:
+        p = pred.items[i]
+        best_j, best_iou = -1, 0.0
+        for j, g in enumerate(gt.items):
+            if taken[j]:
+                continue
+            v = rotated_iou(p.box, g.box)
+            if v > best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0 and best_iou > iou_thresh:
+            taken[best_j] = True
+            g = gt.items[best_j]
+            if is_unidentifiable(g.transcript):
+                if not ignore_unidentifiable:
+                    fp += 1
+            elif p.transcript == g.transcript:
+                matched_tp[best_j] = True
+                tp += 1
+            else:
+                fp += 1
+        else:
+            fp += 1
+    fn = sum(
+        1
+        for j, g in enumerate(gt.items)
+        if not (ignore_unidentifiable and is_unidentifiable(g.transcript)) and not matched_tp[j]
+    )
+    return SpottingCounts(tp, fp, fn)
+
+
+def random_images(rng, n_images):
+    """Ground truth and predictions of crowded images: plates overlap one
+    another, scores tie, some plates hold '*', and some images have records
+    on one side only (or an empty record)."""
+    texts = ["京A11111", "京A11112", "沪B*2345", "*"]
+    gts, preds = [], []
+    for k in range(n_images):
+        image_id = f"img{int(rng.integers(10**6)):06d}_{k}"
+        plates = [
+            SpottingItem(
+                RotatedBox(rng.uniform(0, 6), rng.uniform(0, 3), rng.uniform(2, 6),
+                           rng.uniform(1, 3), rng.uniform(-3.2, 3.2)),
+                texts[int(rng.integers(len(texts)))],
+            )
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        guesses = []
+        for _ in range(int(rng.integers(0, 6))):
+            if plates and rng.random() < 0.8:
+                src = plates[int(rng.integers(len(plates)))]
+                b = src.box
+                if rng.random() < 0.15:  # IoU exactly 0.6: a quarter-width shift
+                    box = RotatedBox(b.cx + 0.5, b.cy, 2.0, 1.0, 0.0)
+                    b = RotatedBox(b.cx, b.cy, 2.0, 1.0, 0.0)
+                    plates[plates.index(src)] = SpottingItem(b, src.transcript)
+                else:
+                    box = RotatedBox(b.cx + rng.normal(0, 0.4), b.cy + rng.normal(0, 0.4),
+                                     b.w * rng.uniform(0.8, 1.2), b.h * rng.uniform(0.8, 1.2),
+                                     b.theta + rng.normal(0, 0.1))
+                text = src.transcript if rng.random() < 0.7 else texts[int(rng.integers(4))]
+            else:
+                box = RotatedBox(rng.uniform(0, 8), rng.uniform(0, 8), 3.0, 1.5, 0.0)
+                text = texts[0]
+            score = [0.5, 0.9, None, float(rng.uniform(0, 1))][int(rng.integers(4))]
+            guesses.append(SpottingItem(box, text, score))
+        side = rng.random()
+        if side < 0.85 or not guesses:
+            gts.append(SpottingRecord(image_id, tuple(plates)))
+        if side > 0.15 or not plates:
+            preds.append(SpottingRecord(image_id, tuple(guesses)))
+    return gts, preds
+
+
+class TestColumnMatcherEquivalence:
+    @pytest.mark.parametrize("ignore", [False, True])
+    @pytest.mark.parametrize("thresh", [0.0, 0.3, 0.6, 1.0])
+    def test_equals_per_image_loop(self, thresh, ignore):
+        rng = np.random.default_rng(int(thresh * 10) + 100 * ignore)
+        gts, preds = random_images(rng, 400)
+        gt_by_id = {r.image_id: r for r in gts}
+        pred_by_id = {r.image_id: r for r in preds}
+        got = match_records(gts, preds, thresh, ignore)
+        want = []
+        for image_id in sorted(gt_by_id.keys() | pred_by_id.keys()):
+            g = gt_by_id.get(image_id, SpottingRecord(image_id))
+            p = pred_by_id.get(image_id, SpottingRecord(image_id))
+            want.append((image_id, reference_match_image(g, p, thresh, ignore)))
+            assert match_image(g, p, thresh, ignore) == want[-1][1]
+        assert got == want
+        assert gt_by_id.keys() != pred_by_id.keys()
+        if thresh < 1.0:
+            assert sum(c.tp for _, c in want) > 20
+
+    def test_evaluate_equals_per_image_loop(self, tmp_path):
+        gts, preds = random_images(np.random.default_rng(5), 300)
+        gts = [r for r in gts if r.items]  # a record file has no empty images
+        preds = [r for r in preds if r.items]
+        write_predictions(tmp_path / "gt.txt", gts)
+        write_predictions(tmp_path / "pred.txt", preds)
+        gts = {r.image_id: r for r in parse_predictions(tmp_path / "gt.txt", ground_truth=True)}
+        preds = {r.image_id: r for r in parse_predictions(tmp_path / "pred.txt")}
+        for ignore in (False, True):
+            report = cli.cmd_evaluate(
+                tmp_path / "gt.txt", tmp_path / "pred.txt", 0.5, ignore, out=io.StringIO()
+            )
+            want = tuple(
+                (i, reference_match_image(gts.get(i, SpottingRecord(i)),
+                                          preds.get(i, SpottingRecord(i)), 0.5, ignore))
+                for i in sorted(gts.keys() | preds.keys())
+            )
+            assert report.per_image == want
