@@ -10,16 +10,16 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import ctc, dataio, losses, oracles
+from . import anchors, ctc, dataio, losses, oracles
 from .errors import ParseError
 from .feature_ops import CropSpec, FeatureMap, rroi_align
-from .geometry import RotatedBox, ScoredBox, rotated_iou, rotated_nms
+from .geometry import RotatedBox, ScoredBox, rotated_iou, rotated_iou_matrix, rotated_nms
 from .spotting import SpottingCounts, _match_columns, aggregate
 
 REPORT_FORMAT = "lpcore-eval-report-v1"
@@ -27,23 +27,23 @@ REPORT_FORMAT = "lpcore-eval-report-v1"
 
 @dataclass(frozen=True)
 class EvalReport:
-    recall: float
-    precision: float
-    fscore: float
+    """Per-image counts, with their totals and the metrics of the totals."""
+
     per_image: tuple[tuple[str, SpottingCounts], ...]
     config: dict
+    totals: SpottingCounts = field(init=False)
+    recall: float = field(init=False)
+    precision: float = field(init=False)
+    fscore: float = field(init=False)
 
     def __post_init__(self):
-        got = aggregate([c for _, c in self.per_image])
-        if got != (self.recall, self.precision, self.fscore):
-            raise ValueError("aggregate metrics inconsistent with per-image counts")
-
-    @property
-    def totals(self) -> SpottingCounts:
         counts = [c for _, c in self.per_image]
-        return SpottingCounts(
+        totals = SpottingCounts(
             sum(c.tp for c in counts), sum(c.fp for c in counts), sum(c.fn for c in counts)
         )
+        object.__setattr__(self, "totals", totals)
+        for name, value in zip(("recall", "precision", "fscore"), aggregate([totals])):
+            object.__setattr__(self, name, value)
 
 
 def _format_report(report: EvalReport, timestamp: bool) -> str:
@@ -85,11 +85,7 @@ def cmd_evaluate(
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
     per_image = _match_columns(gts, preds, iou_thresh, ignore_unidentifiable)
-    recall, precision, fscore = aggregate([c for _, c in per_image])
     report = EvalReport(
-        recall,
-        precision,
-        fscore,
         tuple(per_image),
         {
             "gt_path": str(gt_path),
@@ -105,7 +101,8 @@ def cmd_evaluate(
     total = report.totals
     print(f"{'TOTAL':<{width}}  {total.tp:>4} {total.fp:>4} {total.fn:>4}", file=out)
     print(
-        f"recall={recall:.6f} precision={precision:.6f} fscore={fscore:.6f}",
+        f"recall={report.recall:.6f} precision={report.precision:.6f} "
+        f"fscore={report.fscore:.6f}",
         file=out,
     )
     if report_path is not None:
@@ -274,6 +271,25 @@ def _bench_rotated_iou(size: int) -> float:
     return time.perf_counter() - start
 
 
+def _bench_rotated_iou_matrix(size: int) -> float:
+    """size IoU matrices of a 64x64 anchor grid (stride 8) against 3 plates."""
+    grid = anchors.generate_anchors(64, 64, stride=8).boxes
+    rng = np.random.default_rng(19)
+    plate_sets = []
+    for _ in range(size):
+        w = rng.uniform(40.0, 120.0, 3)
+        plate_sets.append(
+            np.column_stack(
+                [rng.uniform(64.0, 448.0, (3, 2)), w, w / rng.uniform(2.5, 3.5, 3),
+                 rng.uniform(-0.3, 0.3, 3)]
+            )
+        )
+    start = time.perf_counter()
+    for plates in plate_sets:
+        rotated_iou_matrix(grid, plates)
+    return time.perf_counter() - start
+
+
 def _bench_rotated_nms(size: int) -> float:
     rng = np.random.default_rng(5)
     boxes = [
@@ -318,6 +334,7 @@ def _bench_ctc_loss(size: int) -> float:
 
 BENCH_OPS = (
     ("rotated_iou", _bench_rotated_iou),
+    ("rotated_iou_matrix", _bench_rotated_iou_matrix),
     ("rotated_nms", _bench_rotated_nms),
     ("rroi_align", _bench_rroi_align),
     ("ctc_loss", _bench_ctc_loss),
@@ -329,13 +346,13 @@ def cmd_bench(sizes: list[int] | None = None, out=None) -> list[tuple[str, int, 
     out = out if out is not None else sys.stdout
     sizes = sizes or [100]
     rows = []
-    print(f"{'op':<14} {'size':>7} {'total_s':>10} {'per_item_ms':>12}", file=out)
+    print(f"{'op':<18} {'size':>7} {'total_s':>10} {'per_item_ms':>12}", file=out)
     for name, runner in BENCH_OPS:
         for size in sizes:
             total = runner(size)
             per_item = total / size * 1e3
             rows.append((name, size, total, per_item))
-            print(f"{name:<14} {size:>7} {total:>10.4f} {per_item:>12.4f}", file=out)
+            print(f"{name:<18} {size:>7} {total:>10.4f} {per_item:>12.4f}", file=out)
     return rows
 
 

@@ -49,16 +49,20 @@ class Annotation:
 
 
 def _text_lines(path):
-    """Yield (line number, line without its newline) of a UTF-8 text file.
+    """(line number, line without its newline) pairs of a UTF-8 text file.
 
-    A leading BOM is dropped; bytes that are not UTF-8 raise ParseError.
+    A leading BOM is dropped. The whole file is decoded first, so a file
+    with bytes that are not UTF-8 always raises the same line-less
+    ParseError, wherever the bytes and any malformed line sit.
     """
     try:
         with open(path, encoding="utf-8-sig") as f:
-            for no, line in enumerate(f, start=1):
-                yield no, line.rstrip("\n")
+            lines = f.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+    if lines[-1] == "":  # the text ends in a newline, or the file is empty
+        lines.pop()
+    return enumerate(lines, start=1)
 
 
 def parse_annotation_file(path) -> list[Annotation]:

@@ -291,10 +291,112 @@ def _iou(ax, ay, aw, ah, at, bx, by, bw, bh, bt) -> float:
     return min(inter / union, 1.0)
 
 
-# rotated_iou_matrix keeps each pair whose centre distance is within this
-# factor of the summed circumradii: np.hypot and math.hypot may differ in the
-# last bit, and the prefilter must never drop a pair rotated_iou would clip.
+# The vectorised circumcircle tests keep each pair whose centre distance is
+# within this factor of the summed circumradii: np.hypot and math.hypot may
+# differ in the last bit, and no test may drop a pair _iou would clip.
 _REACH_SLACK = 1.0 + 1e-9
+# _iou_pairs clips at most this many pairs at a time, which bounds its scratch
+# arrays and the Python floats its math calls make
+_PAIR_CHUNK = 2048
+
+
+def _iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K,) array of ``_iou(*a[k], *b[k])`` for two (K, 5) canonical arrays.
+
+    Every entry has exactly the bits of ``_iou``: the same float operations
+    run in the same order, for all pairs at once, and ``hypot``, ``cos`` and
+    ``sin`` come from ``math`` wherever they decide a bit, as numpy's may
+    differ from them in the last one.
+    """
+    out = np.zeros(len(a))
+    with np.errstate(all="ignore"):  # far-apart centres overflow; 0/0 where no edge crosses
+        dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+        dist2 = dx * dx + dy * dy
+        reach = 0.5 * (np.hypot(a[:, 2], a[:, 3]) + np.hypot(b[:, 2], b[:, 3]))
+        near = dist2 <= (reach * _REACH_SLACK) ** 2
+        # _iou's own circumcircle test, with math.hypot, for the close calls
+        close = np.flatnonzero(near & (dist2 > (reach / _REACH_SLACK) ** 2))
+        hypot_a = list(map(math.hypot, a[close, 2].tolist(), a[close, 3].tolist()))
+        hypot_b = list(map(math.hypot, b[close, 2].tolist(), b[close, 3].tolist()))
+        reach = 0.5 * (np.array(hypot_a, dtype=np.float64) + np.array(hypot_b, dtype=np.float64))
+        near[close] = dist2[close] <= reach * reach
+        live = np.flatnonzero(near)
+        for start in range(0, len(live), _PAIR_CHUNK):
+            rows = live[start : start + _PAIR_CHUNK]
+            out[rows] = _clip_iou(a[rows], b[rows])
+    return out
+
+
+def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_iou of pairs that pass its circumcircle test, clipped all at once."""
+    # canonical argument order: a is the lexicographically smaller row
+    swap = np.zeros(len(a), dtype=bool)
+    for k in range(4, -1, -1):
+        swap = (b[:, k] < a[:, k]) | ((b[:, k] == a[:, k]) & swap)
+    a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+    # flat vertex lists: polygon k's count[k] vertices follow polygon k-1's
+    xs, ys = (v.ravel() for v in _corner_columns(a, a))
+    clip_x, clip_y = _corner_columns(b, a)
+    count = np.full(len(a), 4)
+    for i in range(4):
+        j = (i + 1) % 4
+        xs, ys, count = _clip_edge(
+            xs, ys, count, clip_x[:, i], clip_y[:, i], clip_x[:, j], clip_y[:, j]
+        )
+    # shoelace, each polygon's terms summed in _shoelace's order
+    first = np.cumsum(count) - count
+    nonempty = count > 0
+    succ = np.arange(1, len(xs) + 1)
+    succ[(first + count - 1)[nonempty]] = first[nonempty]
+    terms = xs * ys[succ] - xs[succ] * ys
+    acc = np.zeros(len(a))
+    for r in range(count.max(initial=0)):
+        more = np.flatnonzero(r < count)
+        acc[more] += terms[first[more] + r]
+    inter = np.where(count >= 3, np.abs(0.5 * acc), 0.0)
+    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+    return np.where((inter <= 0.0) | (union <= 0.0), 0.0, np.minimum(inter / union, 1.0))
+
+
+def _corner_columns(boxes: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, 4) x and y of each row's ``_corners`` relative to the origin row's centre."""
+    theta = boxes[:, 4].tolist()
+    c = np.fromiter(map(math.cos, theta), np.float64, len(theta))
+    s = np.fromiter(map(math.sin, theta), np.float64, len(theta))
+    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
+    x, y = boxes[:, 0] - origin[:, 0], boxes[:, 1] - origin[:, 1]
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    xs = np.column_stack([x - wc + hs, x + wc + hs, x + wc - hs, x - wc - hs])
+    ys = np.column_stack([y - ws - hc, y + ws - hc, y + ws + hc, y - ws + hc])
+    return xs, ys
+
+
+def _clip_edge(xs, ys, count, ax, ay, bx, by):
+    """One Sutherland-Hodgman step of _clip_polygon on every polygon at once.
+
+    Polygon k, ``count[k]`` vertices of the flat ``xs`` and ``ys`` after
+    those of polygons 0..k-1, keeps its part left of edge (ax, ay) -> (bx, by)
+    at index k. Returns the clipped polygons in the same layout.
+    """
+    owner = np.repeat(np.arange(len(count)), count)
+    first = np.cumsum(count) - count
+    ex, ey = bx - ax, by - ay
+    d = ex[owner] * (ys - ay[owner]) - ey[owner] * (xs - ax[owner])
+    # each vertex's predecessor: the vertex before it, or its polygon's last
+    prev = np.arange(-1, len(xs) - 1)
+    nonempty = count > 0
+    prev[first[nonempty]] = (first + count - 1)[nonempty]
+    px, py, d_prev = xs[prev], ys[prev], d[prev]
+    inside = d >= 0.0
+    cross = inside != (d_prev >= 0.0)
+    t = d_prev / (d_prev - d)
+    # a vertex emits the crossing of the edge into it, then itself, as each applies
+    emit = np.column_stack([cross, inside]).ravel()
+    new_xs = np.column_stack([px + t * (xs - px), xs]).ravel()[emit]
+    new_ys = np.column_stack([py + t * (ys - py), ys]).ravel()[emit]
+    k = len(count)
+    new_count = np.bincount(owner[cross], minlength=k) + np.bincount(owner[inside], minlength=k)
+    return new_xs, new_ys, new_count
 
 
 def _box_array(boxes) -> np.ndarray:
@@ -332,9 +434,10 @@ def rotated_iou_matrix(a, b) -> np.ndarray:
 
     ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta),
     each row valid as RotatedBox fields. One vectorised circumcircle test, a
-    hair looser than rotated_iou's early-out, zeroes the disjoint pairs; every
-    other pair goes through rotated_iou's kernel on the canonical rows, so
-    each entry has exactly the bits of ``rotated_iou`` on the rows' boxes.
+    hair looser than rotated_iou's early-out, zeroes the disjoint pairs; the
+    other pairs go, canonical rows and all, through one call of the batched
+    kernel ``_iou_pairs``, so each entry has exactly the bits of
+    ``rotated_iou`` on the rows' boxes.
     """
     return _iou_matrix(_checked_box_array(a, "a"), _checked_box_array(b, "b"))
 
@@ -348,7 +451,7 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         reach *= _REACH_SLACK
         rows, cols = np.nonzero(dx * dx + dy * dy <= reach * reach)
     out = np.zeros((len(a), len(b)))
-    out[rows, cols] = list(map(_iou, *a[rows].T.tolist(), *b[cols].T.tolist()))
+    out[rows, cols] = _iou_pairs(a[rows], b[cols])
     return out
 
 

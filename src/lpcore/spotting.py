@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ctc import exact_match
 from .errors import ImageIdMismatchError
-from .geometry import RotatedBox, _box_array, _iou
+from .geometry import RotatedBox, _box_array, _iou_pairs
 
 DEFAULT_IOU_THRESH = 0.6
 UNIDENTIFIABLE_CHAR = "*"
@@ -104,52 +106,61 @@ def _match_columns(
     """
     gt_ids, _, _, gt_boxes, gt_texts = gt
     pred_ids, scores, _, pred_boxes, pred_texts = pred
-    gx, gy, gw, gh, gtheta = gt_boxes.T.tolist()
-    px, py, pw, ph, ptheta = pred_boxes.T.tolist()
-    gt_rows = _rows_by_image(gt_ids)
-    pred_rows = _rows_by_image(pred_ids)
-    neg_score = [-s for s in scores]
-    taken = [False] * len(gt_ids)
-    out = []
-    for image_id in sorted(gt_rows.keys() | pred_rows.keys()):
-        g_rows = gt_rows.get(image_id, ())
-        tp = fp = 0
-        # sorted is stable: tied scores keep row order
-        for i in sorted(pred_rows.get(image_id, ()), key=neg_score.__getitem__):
-            ax, ay, aw, ah, at = px[i], py[i], pw[i], ph[i], ptheta[i]
-            best_j = -1
-            best_iou = 0.0
-            for j in g_rows:
-                if taken[j]:
-                    continue
-                v = _iou(ax, ay, aw, ah, at, gx[j], gy[j], gw[j], gh[j], gtheta[j])
-                if v > best_iou:
-                    best_j, best_iou = j, v
-            if best_j >= 0 and best_iou > iou_thresh:
-                taken[best_j] = True
-                g_text = gt_texts[best_j]
-                if is_unidentifiable(g_text):
-                    if not ignore_unidentifiable:
-                        fp += 1
-                elif exact_match(pred_texts[i], g_text):
-                    tp += 1
-                else:
-                    fp += 1
-            else:
-                fp += 1
-        # every TP is an identifiable ground truth, and no other is matched
-        scored = len(g_rows)
-        if ignore_unidentifiable:
-            scored -= sum(is_unidentifiable(gt_texts[j]) for j in g_rows)
-        out.append((image_id, SpottingCounts(tp, fp, scored - tp)))
-    return out
-
-
-def _rows_by_image(ids: list[str]) -> dict[str, list[int]]:
-    rows: dict[str, list[int]] = {}
-    for i, image_id in enumerate(ids):
-        rows.setdefault(image_id, []).append(i)
-    return rows
+    images = sorted(set(gt_ids).union(pred_ids))
+    code = {image_id: k for k, image_id in enumerate(images)}
+    g_img = np.fromiter(map(code.__getitem__, gt_ids), np.intp, len(gt_ids))
+    p_img = np.fromiter(map(code.__getitem__, pred_ids), np.intp, len(pred_ids))
+    g_count = np.bincount(g_img, minlength=len(images))
+    p_count = np.bincount(p_img, minlength=len(images))
+    # every prediction row with every ground-truth row of its image, both in
+    # row order, through one IoU kernel call
+    reps = g_count[p_img]
+    pair_pred = np.repeat(np.arange(len(pred_ids)), reps)
+    within = np.arange(len(pair_pred)) - np.repeat(np.cumsum(reps) - reps, reps)
+    g_first = np.cumsum(g_count) - g_count
+    pair_gt = np.argsort(g_img, kind="stable")[np.repeat(g_first[p_img], reps) + within]
+    iou = _iou_pairs(pred_boxes[pair_pred], gt_boxes[pair_gt])
+    # A prediction claims the first untaken ground truth of highest IoU, and
+    # only if that IoU passes the threshold, so only such pairs can matter.
+    # Predictions go by image, then descending score, then row; lexsort is
+    # stable, so each prediction's pairs stay in ground-truth row order.
+    hit = np.flatnonzero(iou > iou_thresh)
+    hit_pred = pair_pred[hit]
+    neg_score = -np.asarray(scores, dtype=np.float64)[hit_pred]
+    order = np.lexsort((hit_pred, neg_score, p_img[hit_pred]))
+    hit, hit_pred = hit[order], hit_pred[order]
+    # a prediction claims at its last candidate pair
+    ends = np.append(hit_pred[1:] != hit_pred[:-1], True)
+    tp = [0] * len(images)
+    dont_care = [0] * len(images)  # ignored claims of placeholder plates: not FP
+    taken = set()
+    best_j, best_iou = -1, 0.0
+    for i, j, v, end in zip(
+        hit_pred.tolist(), pair_gt[hit].tolist(), iou[hit].tolist(), ends.tolist()
+    ):
+        if v > best_iou and j not in taken:
+            best_j, best_iou = j, v
+        if not end or best_j < 0:
+            continue
+        taken.add(best_j)
+        g_text = gt_texts[best_j]
+        if is_unidentifiable(g_text):
+            if ignore_unidentifiable:
+                dont_care[g_img[best_j]] += 1
+        elif exact_match(pred_texts[i], g_text):
+            tp[g_img[best_j]] += 1
+        best_j, best_iou = -1, 0.0
+    # every TP is an identifiable ground truth, and no other is matched
+    scored = g_count
+    if ignore_unidentifiable:
+        placeholder = np.fromiter(map(is_unidentifiable, gt_texts), bool, len(gt_texts))
+        scored = scored - np.bincount(g_img[placeholder], minlength=len(images))
+    tp_arr = np.array(tp, dtype=np.intp)
+    fp = (p_count - tp_arr - dont_care).tolist()
+    fn = (scored - tp_arr).tolist()
+    return [
+        (image_id, SpottingCounts(t, f, m)) for image_id, t, f, m in zip(images, tp, fp, fn)
+    ]
 
 
 def aggregate(counts: list[SpottingCounts]) -> tuple[float, float, float]:

@@ -168,6 +168,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"{pred_path}: not UTF-8 text" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("good_lines", [10, 1000])
+    def test_non_utf8_byte_after_a_bad_line_exits_2(self, tmp_path, capsys, good_lines):
+        gt_path, pred_path = hand_fixture(tmp_path)
+        good = "img,0.900000,1,1,4,2,0,京A12345\n".encode()
+        pred_path.write_bytes(b"img,0.9,1,1,4,2\n" + good * good_lines + b"img,0.9,1,1,4,2,0,\xff\n")
+        rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{pred_path}: not UTF-8 text" in err and "Traceback" not in err
+
     def test_bom_prediction_file_scores_perfect(self, tmp_path, capsys):
         # the BOM once became part of "img1", which then scored all-FN and all-FP
         gt = "img1,,10,10,5,2,0,京A12345\nimg2,,30,30,5,2,0,沪B67890\n"

@@ -168,6 +168,23 @@ class TestPredictionFiles:
             parse_predictions(path)
         assert err.value.path == str(path)
 
+    @pytest.mark.parametrize("good_lines", [10, 1000])
+    def test_non_utf8_byte_wins_over_an_earlier_bad_line(self, tmp_path, good_lines):
+        # the file is decoded whole before any line is checked, so the error
+        # does not depend on how far the bad byte sits from the bad line
+        path = tmp_path / "pred.txt"
+        good = "img,0.900000,1,1,4,2,0,京A12345\n".encode()
+        path.write_bytes(b"img,0.9,1,1,4,2\n" + good * good_lines + b"img,0.9,1,1,4,2,0,\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            parse_predictions(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
+        bad_line = "0,0,4,0,4,2,0,2,京A12345\n".encode()
+        good = "0,0,4,0,4,2,0,2,京A12345,blue\n".encode()
+        path.write_bytes(bad_line + good * good_lines + b"0,0,4,0,4,2,0,2,\xff,blue\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            parse_annotation_file(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
+
     def test_negative_width_rejected(self, tmp_path):
         path = tmp_path / "pred.txt"
         path.write_text("img,0.9,10,10,-5,2,0,京A12345\n", encoding="utf-8")

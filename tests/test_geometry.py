@@ -13,8 +13,11 @@ from lpcore.geometry import (
     Quad,
     RotatedBox,
     ScoredBox,
+    _PAIR_CHUNK,
     _checked_box_array,
     _clip_polygon,
+    _iou,
+    _iou_pairs,
     _shoelace,
     quad_to_rbox,
     rbox_to_quad,
@@ -496,6 +499,150 @@ class TestRotatedIouMatrix:
             rotated_iou_matrix(bad, good)
         with pytest.raises(ValueError):
             rotated_iou_matrix(good, bad)
+
+
+def assert_pairs_are_scalar(a, b):
+    """_iou_pairs has, bit for bit, the _iou of every row pair, either way round."""
+    for x, y in ((a, b), (b, a)):
+        got = _iou_pairs(x, y)
+        assert got.shape == (len(x),) and got.dtype == np.float64
+        want = np.array(list(map(_iou, *x.T.tolist(), *y.T.tolist())), dtype=np.float64)
+        np.testing.assert_array_equal(got.view(np.int64), want.reshape(-1).view(np.int64))
+    return got
+
+
+def seeded_rows(rng, n, span, side=(1.0, 8.0)):
+    """n canonical rows with centres in [-span, span]^2 and any angle."""
+    rows = np.column_stack(
+        [
+            rng.uniform(-span, span, (n, 2)),
+            rng.uniform(*side, (n, 2)),
+            rng.uniform(-math.pi, math.pi, n),
+        ]
+    )
+    return _checked_box_array(rows, "rows")
+
+
+def edge_case_pairs():
+    """Row pairs at the kernel's edges: identical rows, rows equal in a prefix
+    of their fields (the canonical swap's ties), theta = -pi/4, far centres,
+    extreme sides, nested, touching and disjoint boxes."""
+    q = -QUARTER_PI
+    base = [3.0, -2.0, 4.0, 1.5, 0.3]
+    pairs = [(base, base)]
+    for shared in range(5):  # b equals a in its first `shared` fields
+        other = [5.0, 1.0, 2.5, 3.5, -0.6]
+        pairs.append((base, base[:shared] + other[shared:]))
+        pairs.append((base, base[:shared] + [v + 1e-9 for v in base[shared:]]))
+    pairs += [
+        ([0.0, 0.0, 4.0, 2.0, q], [0.5, 0.3, 3.0, 2.0, q]),
+        ([0.0, 0.0, 4.0, 2.0, q], [0.5, 0.3, 3.0, 2.0, 0.0]),
+        ([0.0, 0.0, 2.0, 2.0, q], [0.0, 0.0, 2.0, 2.0, 0.0]),
+    ]
+    for c in (1e7, 1e12):
+        pairs += [
+            ([c, -c, 3.0, 1.0, 0.2], [c + 0.5, -c, 3.0, 1.2, -0.1]),
+            ([c, c, 3.0, 1.0, 0.2], [c, c, 3.0, 1.0, 0.2]),
+            ([c, c, 1e-3, 5e-4, q], [c + 1e-4, c, 1e-3, 5e-4, 0.1]),
+        ]
+    for side in (MIN_SIDE, MAX_SIDE):
+        pairs += [
+            ([0.0, 0.0, side, side, 0.1], [0.0, 0.0, side, side, 0.1]),
+            ([0.0, 0.0, side, side, 0.1], [side / 4, 0.0, side, side, -0.2]),
+            ([0.0, 0.0, side, 1.0, 0.0], [0.0, 0.0, side, 1.0, q]),
+            ([0.0, 0.0, 1.0, side, 0.0], [0.25, 0.0, 1.0, side, 0.0]),
+        ]
+    pairs += [
+        ([0.0, 0.0, MAX_SIDE, MAX_SIDE, 0.0], [1.0, 1.0, MIN_SIDE, MIN_SIDE, 0.3]),
+        ([0.0, 0.0, MAX_SIDE, MIN_SIDE, 0.0], [0.0, 0.0, MIN_SIDE, MAX_SIDE, 0.0]),
+        ([0.0, 0.0, 10.0, 6.0, 0.2], [0.5, -0.5, 2.0, 1.0, -0.7]),  # nested
+        ([0.0, 0.0, 10.0, 6.0, 0.0], [0.0, 0.0, 10.0, 6.0 - 1e-12, 0.0]),  # nested, near equal
+        ([0.0, 0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0, 0.0]),  # shared edge
+        ([0.0, 0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0]),  # shared corner
+        ([0.0, 0.0, 1.0, 1.0, 0.0], [0.5 + 0.5 * math.sqrt(2.0), 0.0, 1.0, 1.0, q]),  # vertex on edge
+        ([0.0, 0.0, 1.0, 1.0, 0.0], [1.2, 0.0, 1.0, 1.0, 0.0]),  # circumcircles meet, boxes do not
+        ([0.0, 0.0, 4.0, 0.5, 0.6], [0.0, 2.0, 4.0, 0.5, 0.6]),  # parallel strips apart
+        ([0.0, 0.0, 1.0, 1.0, 0.0], [1e3, 0.0, 1.0, 1.0, 0.0]),  # far apart
+        ([-1e308, 0.0, 1.0, 1.0, 0.0], [1e308, 0.0, 1.0, 1.0, 0.0]),  # distance overflows
+    ]
+    a, b = (_checked_box_array(np.array(side, dtype=float), "rows") for side in zip(*pairs))
+    return a, b
+
+
+def pair_rows(max_center=50.0):
+    """(a, b) row arrays of equal length; some b rows copy a prefix of a's
+    fields, so the canonical swap meets ties."""
+
+    def build(draw_pairs):
+        a, b = [], []
+        for ra, rb, shared in draw_pairs:
+            ra = [ra.cx, ra.cy, ra.w, ra.h, ra.theta]
+            rb = [rb.cx, rb.cy, rb.w, rb.h, rb.theta]
+            a.append(ra)
+            b.append(ra[:shared] + rb[shared:])
+        return (np.array(rows, dtype=float).reshape(-1, 5) for rows in (a, b))
+
+    box = rboxes(max_center=max_center, min_side=0.5, max_side=20.0)
+    return st.lists(st.tuples(box, box, st.integers(0, 5)), max_size=40).map(build)
+
+
+class TestIouPairs:
+    def test_equals_scalar_on_seeded_pairs(self):
+        # 100k pairs: near pairs of similar boxes, then boxes of any scale
+        # from 1e-3 to 1e3 with centres up to 1e6 and offsets up to 4 sizes
+        rng = np.random.default_rng(53)
+        a = seeded_rows(rng, 60_000, 4.0)
+        b = seeded_rows(rng, 60_000, 4.0)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, (40_000, 1))
+        far_a = seeded_rows(rng, 40_000, 1.0, side=(0.1, 10.0))
+        far_b = seeded_rows(rng, 40_000, 4.0, side=(0.1, 10.0))
+        far_a[:, :4] *= scale
+        far_b[:, :4] *= scale
+        far_a[:, :2] += rng.uniform(-1e6, 1e6, (40_000, 2))
+        far_b[:, :2] += far_a[:, :2]
+        a, b = np.concatenate([a, far_a]), np.concatenate([b, far_b])
+        got = assert_pairs_are_scalar(a, b)
+        assert 50_000 < np.count_nonzero(got) < 90_000
+
+    def test_equals_scalar_on_edge_cases(self):
+        a, b = edge_case_pairs()
+        got = assert_pairs_are_scalar(a, b)
+        assert got[0] == 1.0 and np.count_nonzero(got == 0.0) >= 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_rows())
+    def test_equals_scalar_on_drawn_pairs(self, rows):
+        assert_pairs_are_scalar(*rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pair_rows(max_center=4.0),
+        st.sampled_from([1e7, 1e12]),
+        st.floats(-1.0, 1.0, allow_nan=False),
+    )
+    def test_equals_scalar_far_from_origin(self, rows, center, sign):
+        a, b = rows
+        a[:, :2] += center * sign
+        b[:, :2] += center * sign
+        assert_pairs_are_scalar(a, b)
+
+    @pytest.mark.parametrize("k", [0, 1, _PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1])
+    def test_chunk_boundaries(self, k):
+        # every pair overlaps, so all k of them are clipped
+        rng = np.random.default_rng(k)
+        a = seeded_rows(rng, k, 1.0, side=(4.0, 8.0))
+        b = seeded_rows(rng, k, 1.0, side=(4.0, 8.0))
+        got = assert_pairs_are_scalar(a, b)
+        assert np.count_nonzero(got) == k
+
+    def test_disjoint_rows_between_clipped_chunks(self):
+        # clipped pairs and early-out pairs interleaved across two chunks
+        rng = np.random.default_rng(59)
+        a = seeded_rows(rng, 2 * _PAIR_CHUNK + 7, 1.0, side=(4.0, 8.0))
+        b = seeded_rows(rng, 2 * _PAIR_CHUNK + 7, 1.0, side=(4.0, 8.0))
+        b[::3, 0] += 100.0
+        got = assert_pairs_are_scalar(a, b)
+        assert np.count_nonzero(got) == len(a) - len(a[::3])
 
 
 class TestRotatedNms:
