@@ -120,15 +120,22 @@ def _random_box(rng: np.random.Generator, center_span: float = 5.0) -> RotatedBo
     )
 
 
-def iou_box_pairs(n: int, seed: int = 20240601) -> list[tuple[RotatedBox, RotatedBox]]:
-    """Seeded random pairs with offsets small enough to overlap often."""
+def iou_box_pairs(
+    n: int, seed: int = 20240601, offset: float = 3.0
+) -> list[tuple[RotatedBox, RotatedBox]]:
+    """Seeded random pairs with offsets small enough to overlap often.
+
+    b's centre is a's shifted by up to `offset` on each axis. Sides are at
+    least 1, so at an offset of 0.5 or less b's centre lies in a's corner
+    hull and the two hulls always meet.
+    """
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(n):
         a = _random_box(rng)
         b = RotatedBox(
-            a.cx + rng.uniform(-3.0, 3.0),
-            a.cy + rng.uniform(-3.0, 3.0),
+            a.cx + rng.uniform(-offset, offset),
+            a.cy + rng.uniform(-offset, offset),
             rng.uniform(1.0, 8.0),
             rng.uniform(1.0, 8.0),
             rng.uniform(-math.pi / 4, math.pi / 4),
@@ -290,6 +297,16 @@ def _bench_rotated_iou_matrix(size: int) -> float:
     return time.perf_counter() - start
 
 
+def _bench_monte_carlo_iou(size: int) -> float:
+    """size overlapping pairs, each through the oracle at its default samples."""
+    pairs = iou_box_pairs(size, seed=21, offset=0.5)
+    rng = np.random.default_rng(23)
+    start = time.perf_counter()
+    for a, b in pairs:
+        oracles.monte_carlo_iou(a, b, rng=rng)
+    return time.perf_counter() - start
+
+
 def _bench_rotated_nms(size: int) -> float:
     rng = np.random.default_rng(5)
     boxes = [
@@ -338,6 +355,7 @@ BENCH_OPS = (
     ("rotated_nms", _bench_rotated_nms),
     ("rroi_align", _bench_rroi_align),
     ("ctc_loss", _bench_ctc_loss),
+    ("monte_carlo_iou", _bench_monte_carlo_iou),
 )
 
 

@@ -19,6 +19,15 @@ from .feature_ops import CropSpec, FeatureMap
 from .geometry import RotatedBox
 
 DEFAULT_MC_SAMPLES = 1_000_000
+# samples mapped and tested per slice: a slice's float32 temporaries stay in
+# cache, where whole-draw temporaries would stream 4 MB each through memory
+_MC_CHUNK = 16_384
+
+
+def _positive_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+    return int(value)
 
 
 def _corner_bounds(box: RotatedBox) -> tuple[float, float, float, float]:
@@ -38,8 +47,12 @@ def monte_carlo_iou(
 
     Rectangle areas are exact (w*h); only the intersection is counted, on
     the overlap of the two axis-aligned corner hulls. Disjoint hulls prove
-    IoU = 0 without sampling.
+    IoU = 0 without sampling. Both coordinate draws are taken whole, x
+    first; hits are then counted in chunks of `_MC_CHUNK` over those same
+    samples, each sample through the same float32 operations. `samples`
+    must be a positive int (ValueError otherwise).
     """
+    samples = _positive_int("samples", samples)
     if rng is None:
         rng = np.random.default_rng(0)
     ax0, ay0, ax1, ay1 = _corner_bounds(a)
@@ -48,10 +61,10 @@ def monte_carlo_iou(
     hi_x, hi_y = min(ax1, bx1), min(ay1, by1)
     if hi_x <= lo_x or hi_y <= lo_y:
         return 0.0
-    xs = rng.random(samples, dtype=np.float32) * np.float32(hi_x - lo_x) + np.float32(lo_x)
-    ys = rng.random(samples, dtype=np.float32) * np.float32(hi_y - lo_y) + np.float32(lo_y)
+    unit_x = rng.random(samples, dtype=np.float32)
+    unit_y = rng.random(samples, dtype=np.float32)
 
-    def inside(box: RotatedBox) -> np.ndarray:
+    def inside(box: RotatedBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         c, s = math.cos(box.theta), math.sin(box.theta)
         dx = xs - np.float32(box.cx)
         dy = ys - np.float32(box.cy)
@@ -59,7 +72,11 @@ def monte_carlo_iou(
         v = dy * np.float32(c) - dx * np.float32(s)
         return (np.abs(u) <= np.float32(box.w / 2)) & (np.abs(v) <= np.float32(box.h / 2))
 
-    hits = int(np.count_nonzero(inside(a) & inside(b)))
+    hits = 0
+    for start in range(0, samples, _MC_CHUNK):
+        xs = unit_x[start : start + _MC_CHUNK] * np.float32(hi_x - lo_x) + np.float32(lo_x)
+        ys = unit_y[start : start + _MC_CHUNK] * np.float32(hi_y - lo_y) + np.float32(lo_y)
+        hits += int(np.count_nonzero(inside(a, xs, ys) & inside(b, xs, ys)))
     inter = hits / samples * (hi_x - lo_x) * (hi_y - lo_y)
     union = a.area + b.area - inter
     return inter / union
@@ -93,7 +110,12 @@ def ctc_loss_brute_force(logp: np.ndarray, target: Sequence[int]) -> float:
 def dense_rroi_align(
     fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec(), oversample: int = 64
 ) -> FeatureMap:
-    """Rotated crop via brute-force dense averaging (its own sampling code)."""
+    """Rotated crop via brute-force dense averaging (its own sampling code).
+
+    `oversample` (points per cell side) must be a positive int (ValueError
+    otherwise).
+    """
+    oversample = _positive_int("oversample", oversample)
     out = np.zeros((fm.channels, spec.out_h, spec.out_w))
     data = fm.data
     _, map_h, map_w = data.shape

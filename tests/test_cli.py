@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpcore.cli as cli
+from lpcore import oracles
 from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.geometry import RotatedBox
 from lpcore.spotting import SpottingCounts, SpottingItem, SpottingRecord
@@ -306,6 +307,23 @@ class TestBench:
     def test_multiple_sizes(self):
         rows = cli.cmd_bench([2, 4], out=io.StringIO())
         assert len(rows) == 2 * len(cli.BENCH_OPS)
+
+    def test_monte_carlo_row_draws_every_sample_per_item(self, monkeypatch):
+        calls = []
+        real = oracles.monte_carlo_iou
+
+        def spy(a, b, samples=oracles.DEFAULT_MC_SAMPLES, rng=None):
+            before = rng.bit_generator.state
+            value = real(a, b, samples, rng)
+            calls.append((samples, rng.bit_generator.state != before, value))
+            return value
+
+        monkeypatch.setattr(oracles, "monte_carlo_iou", spy)
+        rows = cli.cmd_bench([3], out=io.StringIO())
+        assert [row[:2] for row in rows if row[0] == "monte_carlo_iou"] == [("monte_carlo_iou", 3)]
+        assert len(calls) == 3
+        for samples, drew, value in calls:
+            assert samples == 1_000_000 and drew and 0.0 < value <= 1.0
 
     @pytest.mark.parametrize("sizes", [["0"], ["-3"], ["4", "-1"]])
     def test_nonpositive_size_exits_2(self, capsys, sizes):
