@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import RotatedBox, _box_array, _checked_box_array, _iou_matrix
+from .geometry import MAX_SIDE, MIN_SIDE, RotatedBox, _box_array, _checked_box_array, _iou_matrix
 
 # Conventional single-stage defaults; the P3 stride with a wide 3:1 base
 # matches plate geometry. All are overridable call arguments.
@@ -204,12 +204,23 @@ def encode_delta(b: RotatedBox, g: RotatedBox) -> BoxDelta:
 
 
 def decode_delta(b: RotatedBox, d: BoxDelta) -> RotatedBox:
-    """Algebraic inverse of encode_delta."""
+    """Algebraic inverse of encode_delta.
+
+    A decoded side outside RotatedBox's range is a ValueError, also where
+    exp(dw) or exp(dh) overflows.
+    """
+    try:
+        w, h = b.w * math.exp(d.dw), b.h * math.exp(d.dh)
+    except OverflowError:
+        raise ValueError(
+            f"RotatedBox sides must be in [{MIN_SIDE:g}, {MAX_SIDE:g}], "
+            f"got w={b.w} * exp({d.dw}), h={b.h} * exp({d.dh})"
+        ) from None
     return RotatedBox(
         b.cx + d.dx * b.w,
         b.cy + d.dy * b.h,
-        b.w * math.exp(d.dw),
-        b.h * math.exp(d.dh),
+        w,
+        h,
         math.atan(math.tan(b.theta) + d.dtheta),
     )
 

@@ -23,6 +23,7 @@ from .geometry import RotatedBox, ScoredBox, rotated_iou, rotated_iou_matrix, ro
 from .spotting import SpottingCounts, _match_columns, aggregate
 
 REPORT_FORMAT = "lpcore-eval-report-v1"
+_NOISE_RANGE = f"[{-dataio.SYNTH_NOISE_MAX:g}, {dataio.SYNTH_NOISE_MAX:g}]"
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,6 @@ def cmd_evaluate(
     out = out if out is not None else sys.stdout
     gts = dataio._read_records(gt_path, ground_truth=True)
     preds = dataio._read_records(pred_path, ground_truth=False)
-    if not 0.0 <= iou_thresh <= 1.0:
-        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
     per_image = _match_columns(gts, preds, iou_thresh, ignore_unidentifiable)
     report = EvalReport(
         tuple(per_image),
@@ -252,7 +251,12 @@ def cmd_selfcheck(out=None) -> int:
 
 
 def cmd_synth(seed: int, n: int, noise: float, out_dir) -> tuple[Path, Path]:
-    """Write n synthetic images' ground truth and predictions to out_dir."""
+    """Write n synthetic images' ground truth and predictions to out_dir.
+
+    A |noise| above dataio.SYNTH_NOISE_MAX is a ValueError, raised before
+    anything is drawn or written.
+    """
+    dataio._check_synth_noise(noise)
     rng = np.random.default_rng(seed)
     gts = []
     preds = []
@@ -270,55 +274,42 @@ def cmd_synth(seed: int, n: int, noise: float, out_dir) -> tuple[Path, Path]:
     return gt_path, pred_path
 
 
-def _bench_rotated_iou(size: int) -> float:
-    pairs = iou_box_pairs(size, seed=3)
-    start = time.perf_counter()
-    for a, b in pairs:
-        rotated_iou(a, b)
-    return time.perf_counter() - start
+def _build_rotated_iou(size: int):
+    return rotated_iou, iou_box_pairs(size, seed=3)
 
 
-def _bench_rotated_iou_matrix(size: int) -> float:
+def _build_rotated_iou_matrix(size: int):
     """size IoU matrices of a 64x64 anchor grid (stride 8) against 3 plates."""
     grid = anchors.generate_anchors(64, 64, stride=8).boxes
     rng = np.random.default_rng(19)
-    plate_sets = []
+    calls = []
     for _ in range(size):
         w = rng.uniform(40.0, 120.0, 3)
-        plate_sets.append(
-            np.column_stack(
-                [rng.uniform(64.0, 448.0, (3, 2)), w, w / rng.uniform(2.5, 3.5, 3),
-                 rng.uniform(-0.3, 0.3, 3)]
-            )
+        plates = np.column_stack(
+            [rng.uniform(64.0, 448.0, (3, 2)), w, w / rng.uniform(2.5, 3.5, 3),
+             rng.uniform(-0.3, 0.3, 3)]
         )
-    start = time.perf_counter()
-    for plates in plate_sets:
-        rotated_iou_matrix(grid, plates)
-    return time.perf_counter() - start
+        calls.append((grid, plates))
+    return rotated_iou_matrix, calls
 
 
-def _bench_monte_carlo_iou(size: int) -> float:
+def _build_monte_carlo_iou(size: int):
     """size overlapping pairs, each through the oracle at its default samples."""
     pairs = iou_box_pairs(size, seed=21, offset=0.5)
     rng = np.random.default_rng(23)
-    start = time.perf_counter()
-    for a, b in pairs:
-        oracles.monte_carlo_iou(a, b, rng=rng)
-    return time.perf_counter() - start
+    return oracles.monte_carlo_iou, [(a, b, oracles.DEFAULT_MC_SAMPLES, rng) for a, b in pairs]
 
 
-def _bench_rotated_nms(size: int) -> float:
+def _build_rotated_nms(size: int):
     rng = np.random.default_rng(5)
     boxes = [
         ScoredBox(_random_box(rng, center_span=20.0), float(rng.uniform(0.0, 1.0)))
         for _ in range(size)
     ]
-    start = time.perf_counter()
-    rotated_nms(boxes, 0.5)
-    return time.perf_counter() - start
+    return rotated_nms, [(boxes, 0.5)]
 
 
-def _bench_rroi_align(size: int) -> float:
+def _build_rroi_align(size: int):
     rng = np.random.default_rng(9)
     fm = FeatureMap(rng.normal(size=(32, 80, 80)))
     boxes = [
@@ -332,42 +323,46 @@ def _bench_rroi_align(size: int) -> float:
         for _ in range(size)
     ]
     spec = CropSpec()
-    start = time.perf_counter()
-    for box in boxes:
-        rroi_align(fm, box, spec)
-    return time.perf_counter() - start
+    return rroi_align, [(fm, box, spec) for box in boxes]
 
 
-def _bench_ctc_loss(size: int) -> float:
+def _build_ctc_loss(size: int):
     rng = np.random.default_rng(15)
     alphabet = ctc.default_alphabet()
     frames = [_random_log_probs(rng, 40, alphabet.num_classes) for _ in range(size)]
     targets = [list(rng.integers(1, alphabet.num_classes, size=7)) for _ in range(size)]
-    start = time.perf_counter()
-    for logp, target in zip(frames, targets):
-        ctc.ctc_loss(logp, target, validate=False)
-    return time.perf_counter() - start
+    return ctc.ctc_loss, [(logp, target, False) for logp, target in zip(frames, targets)]
 
 
+# (name, build): build(size) draws the row's seeded inputs and returns the
+# function to time and one positional-argument tuple per call. A builder
+# looks the function up when it runs, so a patched function is the one timed.
 BENCH_OPS = (
-    ("rotated_iou", _bench_rotated_iou),
-    ("rotated_iou_matrix", _bench_rotated_iou_matrix),
-    ("rotated_nms", _bench_rotated_nms),
-    ("rroi_align", _bench_rroi_align),
-    ("ctc_loss", _bench_ctc_loss),
-    ("monte_carlo_iou", _bench_monte_carlo_iou),
+    ("rotated_iou", _build_rotated_iou),
+    ("rotated_iou_matrix", _build_rotated_iou_matrix),
+    ("rotated_nms", _build_rotated_nms),
+    ("rroi_align", _build_rroi_align),
+    ("ctc_loss", _build_ctc_loss),
+    ("monte_carlo_iou", _build_monte_carlo_iou),
 )
 
 
 def cmd_bench(sizes: list[int] | None = None, out=None) -> list[tuple[str, int, float, float]]:
-    """Time each core op over the given problem sizes; no assertions."""
+    """Time each core op over the given problem sizes; no assertions.
+
+    A row's total is the wall time of all its calls, input drawing excluded.
+    """
     out = out if out is not None else sys.stdout
-    sizes = sizes or [100]
+    sizes = sizes or [10]
     rows = []
     print(f"{'op':<18} {'size':>7} {'total_s':>10} {'per_item_ms':>12}", file=out)
-    for name, runner in BENCH_OPS:
+    for name, build in BENCH_OPS:
         for size in sizes:
-            total = runner(size)
+            fn, calls = build(size)
+            start = time.perf_counter()
+            for args in calls:
+                fn(*args)
+            total = time.perf_counter() - start
             per_item = total / size * 1e3
             rows.append((name, size, total, per_item))
             print(f"{name:<18} {size:>7} {total:>10.4f} {per_item:>12.4f}", file=out)
@@ -400,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic gt/pred fixture files")
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--n", type=int, required=True, help="number of images")
-    p_synth.add_argument("--noise", type=float, required=True, help="in [-80, 80]")
+    p_synth.add_argument("--noise", type=float, required=True, help=f"in {_NOISE_RANGE}")
     p_synth.add_argument("--out", required=True, help="output directory")
 
     p_bench = sub.add_parser("bench", help="micro-benchmarks of the core ops")
@@ -417,10 +412,8 @@ def main(argv=None) -> int:
         parser.error(f"argument --iou: must be in [0, 1], got {args.iou}")
     if args.command == "bench" and any(size <= 0 for size in args.size or ()):
         parser.error(f"argument --size: must be positive, got {min(args.size)}")
-    # beyond 80, synth_fixture's side scale e^(-0.2 |noise|) can shrink a side
-    # below 5e-7, which write_predictions' six decimals write as 0.000000
-    if args.command == "synth" and not abs(args.noise) <= 80.0:
-        parser.error(f"argument --noise: must be finite and in [-80, 80], got {args.noise}")
+    if args.command == "synth" and not abs(args.noise) <= dataio.SYNTH_NOISE_MAX:
+        parser.error(f"argument --noise: must be finite and in {_NOISE_RANGE}, got {args.noise}")
     if args.command == "synth" and min(args.seed, args.n) < 0:
         parser.error(f"arguments --seed and --n: must be non-negative, got {args.seed}, {args.n}")
     try:

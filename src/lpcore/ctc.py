@@ -91,10 +91,12 @@ def _check_log_probs(logp: np.ndarray, validate: bool) -> np.ndarray:
 
 
 def _extended_target(target: Sequence[int], num_classes: int) -> np.ndarray:
-    lab = np.asarray(list(target), dtype=np.int64)
-    if lab.size and (lab.min() < 1 or lab.max() >= num_classes):
-        raise ValueError(f"target classes must be in [1, {num_classes}), got {list(target)}")
-    ext = np.full(2 * lab.size + 1, BLANK_INDEX, dtype=np.int64)
+    lab = list(target)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in lab):
+        raise ValueError(f"target entries must be int or numpy integers, got {lab}")
+    if lab and (min(lab) < 1 or max(lab) >= num_classes):
+        raise ValueError(f"target classes must be in [1, {num_classes}), got {lab}")
+    ext = np.full(2 * len(lab) + 1, BLANK_INDEX, dtype=np.int64)
     ext[1::2] = lab
     return ext
 
@@ -139,12 +141,12 @@ def ctc_loss(
     """
     logp = _check_log_probs(logp, validate)
     t_len, num_classes = logp.shape
-    need = min_frames_for(target)
+    ext = _extended_target(target, num_classes)
+    need = min_frames_for(ext[1::2])
     if t_len < need:
         raise InfeasibleTargetError(
-            f"target of {len(list(target))} labels needs at least {need} frames, got {t_len}"
+            f"target of {len(ext) // 2} labels needs at least {need} frames, got {t_len}"
         )
-    ext = _extended_target(target, num_classes)
     emit = logp[:, ext]  # (T, S)
     alpha = emit + _paths_into(emit, ext)
     beta = _paths_into(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]  # suffixes, without frame t

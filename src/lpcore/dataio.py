@@ -255,6 +255,18 @@ def _signed_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return mag if rng.random() < 0.5 else -mag
 
 
+# A side scales by e^(noise * u) with |u| <= 0.2, so |noise| <= 80 keeps the
+# smallest side, about 23 times e^-16, near 2.6e-6. Past 80 a side can fall
+# below 5e-7, which write_predictions' six decimals write as 0.000000.
+SYNTH_NOISE_MAX = 80.0
+
+
+def _check_synth_noise(noise: float) -> None:
+    if not abs(noise) <= SYNTH_NOISE_MAX:
+        bound = SYNTH_NOISE_MAX
+        raise ValueError(f"noise must be finite and in [{-bound:g}, {bound:g}], got {noise!r}")
+
+
 def synth_fixture(
     seed: int, n_plates: int, noise: float
 ) -> tuple[SpottingRecord, SpottingRecord]:
@@ -263,10 +275,11 @@ def synth_fixture(
     noise scales a geometric perturbation of every predicted box; zero
     noise reproduces the ground truth exactly, and a noise of ~2 or more
     displaces each prediction by at least its own size (IoU reaches 0).
-    Any |noise| <= 80 scales a side by at least e^-16, so the smallest side,
-    about 2.6e-6, still reads back from write_predictions' six decimals.
+    |noise| must be at most SYNTH_NOISE_MAX, so that every side still reads
+    back from write_predictions' six decimals; otherwise it is a ValueError.
     Transcripts are never corrupted.
     """
+    _check_synth_noise(noise)
     rng = np.random.default_rng(seed)
     image_id = f"synth_{seed & (2**64 - 1):016x}"
     gt_items = []

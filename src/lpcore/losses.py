@@ -29,8 +29,8 @@ class FocalParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,10 @@ def _match_columns(
     ``gt`` and ``pred`` are columns as dataio._read_records returns them.
     Rows of one image id form one image, in row order; a missing score
     counts as 0. An image with rows on one side only is matched against
-    an empty image.
+    an empty image. iou_thresh must lie in [0, 1].
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
     gt_ids, _, _, gt_boxes, gt_texts = gt
     pred_ids, scores, _, pred_boxes, pred_texts = pred
     images = sorted(set(gt_ids).union(pred_ids))
@@ -197,8 +199,6 @@ def match_records(
     An image id may appear at most once per side. The result is sorted by
     image id.
     """
-    if not 0.0 <= iou_thresh <= 1.0:
-        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
     gt_by_id = _by_image_id(gts, "ground-truth")
     pred_by_id = _by_image_id(preds, "prediction")
     counts = dict(_match_columns(_columns(gts), _columns(preds), iou_thresh, ignore_unidentifiable))

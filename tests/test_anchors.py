@@ -417,6 +417,14 @@ class TestRefineAnchor:
 
 
 class TestDeltaValidation:
+    @pytest.mark.parametrize("dw, dh", [(1000.0, 0.0), (-1000.0, 0.0), (0.0, 710.0), (0.0, -710.0)])
+    def test_out_of_range_side_rejected_for_both_signs(self, dw, dh):
+        b = RotatedBox(0, 0, 2, 1, 0)
+        with pytest.raises(ValueError, match=r"sides must be in \[1e-150, 1e\+150\]"):
+            decode_delta(b, BoxDelta(0, 0, dw, dh, 0))
+        with pytest.raises(ValueError, match=r"sides must be in \[1e-150, 1e\+150\]"):
+            refine_anchor(b, ShapeDelta(dw, dh, 0))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             BoxDelta(math.nan, 0, 0, 0, 0)

@@ -1,9 +1,12 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import itertools
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +245,20 @@ class TestSynth:
         assert flag in captured.err and message in captured.err
         assert "Traceback" not in captured.err and not (tmp_path / "d").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("noise", [81.0, -81.0, math.nan, 1e4])
+    def test_cmd_synth_rejects_noise_before_drawing_or_writing(
+        self, tmp_path, monkeypatch, noise, n
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a fixture")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=r"noise must be finite and in \[-80, 80\]"):
+            cli.cmd_synth(1, n, noise, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("noise", ["80", "-80"])
     def test_noise_bound_writes_files(self, tmp_path, capsys, noise):
         out = tmp_path / "d"
@@ -324,6 +341,52 @@ class TestBench:
         assert len(calls) == 3
         for samples, drew, value in calls:
             assert samples == 1_000_000 and drew and 0.0 < value <= 1.0
+
+    # (calls, numbers, fsum of numbers) of each row's argument tuples at size 3,
+    # as the per-row timing loops that cmd_bench's one loop replaced passed
+    # them (defaults filled in); the Monte-Carlo generator is checked apart.
+    PARENT_INPUTS = {
+        "rotated_iou": (3, 30, 39.49796766108733),
+        "rotated_iou_matrix": (3, 61485, 7083701.659287163),
+        "rotated_nms": (1, 19, 51.15036878977573),
+        "rroi_align": (3, 614424, 2331.0501985036244),
+        "ctc_loss": (3, 8304, -38303.99413733548),
+        "monte_carlo_iou": (3, 33, 3000059.372419377),
+    }
+
+    @staticmethod
+    def numbers(x):
+        if isinstance(x, np.random.Generator):
+            return
+        if dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                yield from TestBench.numbers(getattr(x, f.name))
+        elif isinstance(x, np.ndarray):
+            yield from x.ravel().tolist()
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                yield from TestBench.numbers(v)
+        else:
+            yield x
+
+    @pytest.mark.parametrize("name", list(PARENT_INPUTS))
+    def test_builder_draws_the_timed_inputs(self, name):
+        fn, calls = dict(cli.BENCH_OPS)[name](3)
+        nums = [float(v) for args in calls for v in self.numbers(args)]
+        assert (len(calls), len(nums), math.fsum(nums)) == self.PARENT_INPUTS[name]
+        for args in calls:
+            inspect.signature(fn).bind(*args)  # every tuple fits its function
+
+    def test_monte_carlo_builder_shares_one_fresh_generator(self):
+        _, calls = dict(cli.BENCH_OPS)["monte_carlo_iou"](3)
+        fresh = np.random.default_rng(23).bit_generator.state
+        assert all(args[3] is calls[0][3] for args in calls)
+        assert calls[0][3].bit_generator.state == fresh
+
+    def test_default_size_is_10(self, monkeypatch):
+        monkeypatch.setattr(cli, "BENCH_OPS", (("noop", lambda size: (abs, [(1,)] * size)),))
+        rows = cli.cmd_bench(out=io.StringIO())
+        assert [row[:2] for row in rows] == [("noop", 10)]
 
     @pytest.mark.parametrize("sizes", [["0"], ["-3"], ["4", "-1"]])
     def test_nonpositive_size_exits_2(self, capsys, sizes):

@@ -213,6 +213,19 @@ class TestCtcLoss:
         with pytest.raises(ValueError):
             ctc_loss(logp, [5])
 
+    @pytest.mark.parametrize("target", [[1.7], ["1"], [True], [1, np.True_], [np.float64(1.0)]])
+    def test_rejects_target_entries_that_are_not_integers(self, target):
+        logp = np.log(np.full((4, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="target entries must be int"):
+            ctc_loss(logp, target)
+
+    def test_integer_targets_of_any_kind_agree(self):
+        logp = np.log(np.full((4, 3), 1.0 / 3.0))
+        want, _ = ctc_loss(logp, [1, 2])
+        for target in ([np.int64(1), np.uint8(2)], np.array([1, 2]), (1, 2), iter([1, 2])):
+            assert ctc_loss(logp, target)[0] == want
+        assert ctc_loss(logp, [])[0] == ctc_loss(logp, np.array([], dtype=int))[0]
+
     @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_rejects_nan_and_plus_inf(self, entry, validate):

@@ -344,6 +344,16 @@ class TestSynthFixture:
         assert counts.tp == 0
         assert aggregate([counts])[2] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise", [81.0, -81.0, math.nan, 1e4])
+    def test_noise_outside_bound_rejected_before_drawing(self, monkeypatch, noise):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a fixture")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=r"noise must be finite and in \[-80, 80\]"):
+            synth_fixture(1, 3, noise)
+
     def test_plate_count_and_alphabet(self):
         gt, pred = synth_fixture(1, 7, 0.5)
         assert len(gt.items) == len(pred.items) == 7

@@ -78,6 +78,11 @@ class TestFocalLoss:
         with pytest.raises(ValueError):
             FocalParams(gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            FocalParams(gamma=gamma)
+
 
 class TestSmoothL1:
     def test_values_and_grads(self):

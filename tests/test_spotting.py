@@ -194,6 +194,16 @@ class TestMatchRecords:
         with pytest.raises(ValueError):
             match_records(gts, preds, iou_thresh=thresh)
 
+    @pytest.mark.parametrize("thresh", [5.0, -1.0, float("nan")])
+    def test_match_image_rejects_threshold_as_match_records_does(self, thresh):
+        gts, preds = self.build()
+        with pytest.raises(ValueError) as want:
+            match_records(gts, preds, iou_thresh=thresh)
+        with pytest.raises(ValueError) as got:
+            match_image(gts[0], preds[0], iou_thresh=thresh)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("iou_thresh must be in [0, 1]")
+
     def test_duplicate_image_ids_rejected(self):
         gts, preds = self.build()
         dup = SpottingRecord("img0", (SpottingItem(square(40.0), "京A99999"),))
