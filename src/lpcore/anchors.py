@@ -207,11 +207,13 @@ def decode_delta(b: RotatedBox, d: BoxDelta) -> RotatedBox:
     """Algebraic inverse of encode_delta.
 
     A decoded side outside RotatedBox's range is a ValueError, also where
-    exp(dw) or exp(dh) overflows.
+    exp(dw) or exp(dh), or its product with the side, overflows.
     """
     try:
         w, h = b.w * math.exp(d.dw), b.h * math.exp(d.dh)
     except OverflowError:
+        w = h = math.inf
+    if math.isinf(w) or math.isinf(h):
         raise ValueError(
             f"RotatedBox sides must be in [{MIN_SIDE:g}, {MAX_SIDE:g}], "
             f"got w={b.w} * exp({d.dw}), h={b.h} * exp({d.dh})"

@@ -74,6 +74,12 @@ def _real_as_float(v) -> float:
         return math.inf
 
 
+def _check_unit_threshold(value, name: str) -> None:
+    """ValueError unless value is a real number (not a bool) in [0, 1]."""
+    if isinstance(value, bool) or not 0.0 <= _real_as_float(value) <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
 def _fold_angle(w: float, h: float, theta: float) -> tuple[float, float, float]:
     """Fold (w, h, theta) into the canonical theta in [-pi/4, pi/4)."""
     t = math.remainder(theta, math.pi)  # [-pi/2, pi/2], same rectangle
@@ -216,17 +222,23 @@ def quad_to_rbox(q: Quad) -> RotatedBox:
 
 def rbox_to_quad(b: RotatedBox) -> Quad:
     """Corners counter-clockwise starting at box-local (-w/2, -h/2)."""
-    return Quad(_corners(b.cx, b.cy, b.w, b.h, b.theta, 0.0, 0.0))
+    p = _prepare(b.cx, b.cy, b.w, b.h, b.theta)
+    return Quad(_corner_points(b.cx, b.cy, p))
 
 
-def _corners(cx: float, cy: float, w: float, h: float, theta: float,
-             ox: float, oy: float) -> list[Point]:
-    """Unvalidated corners of box (cx, cy, w, h, theta) relative to (ox, oy),
-    in rbox_to_quad's order."""
+def _prepare(cx: float, cy: float, w: float, h: float, theta: float) -> tuple:
+    """Box (cx, cy, w, h, theta) with what clipping it needs worked out once:
+    the five fields, its diagonal ``hypot(w, h)`` and the half-side products
+    ``(hw*cos, hw*sin, hh*cos, hh*sin)`` of its corners."""
     c, s = math.cos(theta), math.sin(theta)
     hw, hh = w / 2.0, h / 2.0
-    x, y = cx - ox, cy - oy
-    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    return (cx, cy, w, h, theta, math.hypot(w, h), hw * c, hw * s, hh * c, hh * s)
+
+
+def _corner_points(x: float, y: float, p: tuple) -> list[Point]:
+    """Corners of prepared box p with its centre placed at (x, y), in
+    rbox_to_quad's order."""
+    wc, ws, hc, hs = p[6], p[7], p[8], p[9]
     return [
         (x - wc + hs, y - ws - hc),
         (x + wc + hs, y + ws - hc),
@@ -278,14 +290,19 @@ def _iou(ax, ay, aw, ah, at, bx, by, bw, bh, bt) -> float:
     reach = 0.5 * (math.hypot(aw, ah) + math.hypot(bw, bh))
     if dx * dx + dy * dy > reach * reach:
         return 0.0
+    return _overlap(_prepare(ax, ay, aw, ah, at), _prepare(bx, by, bw, bh, bt))
+
+
+def _overlap(a: tuple, b: tuple) -> float:
+    """IoU of two prepared boxes by clipping, for pairs past _iou's circumcircle test."""
     # canonical argument order makes the result exactly symmetric
-    if (bx, by, bw, bh, bt) < (ax, ay, aw, ah, at):
-        ax, ay, aw, ah, at, bx, by, bw, bh, bt = bx, by, bw, bh, bt, ax, ay, aw, ah, at
+    if b[:5] < a[:5]:
+        a, b = b, a
     inter_poly = _clip_polygon(
-        _corners(ax, ay, aw, ah, at, ax, ay), _corners(bx, by, bw, bh, bt, ax, ay)
+        _corner_points(0.0, 0.0, a), _corner_points(b[0] - a[0], b[1] - a[1], b)
     )
     inter = abs(_shoelace(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    union = aw * ah + bw * bh - inter
+    union = a[2] * a[3] + b[2] * b[3] - inter
     if inter <= 0.0 or union <= 0.0:
         return 0.0
     return min(inter / union, 1.0)
@@ -359,7 +376,7 @@ def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _corner_columns(boxes: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, 4) x and y of each row's ``_corners`` relative to the origin row's centre."""
+    """(K, 4) x and y of each row's ``_corner_points`` relative to the origin row's centre."""
     theta = boxes[:, 4].tolist()
     c = np.fromiter(map(math.cos, theta), np.float64, len(theta))
     s = np.fromiter(map(math.sin, theta), np.float64, len(theta))
@@ -408,10 +425,13 @@ def _box_array(boxes) -> np.ndarray:
 def _checked_box_array(boxes, name: str) -> np.ndarray:
     """``boxes`` as an (N, 5) float64 array of canonical RotatedBox fields.
 
-    Each row must be valid RotatedBox fields; rows with theta outside
-    [-pi/4, pi/4) are folded as RotatedBox folds them, in a copy.
+    An input with no rows (``[]`` included) is a (0, 5) array. Each row must
+    be valid RotatedBox fields; rows with theta outside [-pi/4, pi/4) are
+    folded as RotatedBox folds them, in a copy.
     """
     arr = np.asarray(boxes)
+    if arr.shape[:1] == (0,):
+        return np.zeros((0, 5))
     if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 5:
         raise ValueError(f"{name} must be an (N, 5) real array, got {arr.dtype} {arr.shape}")
     arr = arr.astype(np.float64, copy=False)
@@ -459,14 +479,26 @@ def rotated_nms(boxes: list[ScoredBox], iou_threshold: float) -> list[ScoredBox]
     """Greedy suppression by descending score; ties broken by input order.
 
     A candidate is dropped iff its IoU with an already-kept box exceeds
-    ``iou_threshold``. The result is ordered by descending score.
+    ``iou_threshold``, a real number in [0, 1]. The result is ordered by
+    descending score. Each box is prepared once; a pair that fails
+    rotated_iou's circumcircle test has IoU 0.0, which never exceeds the
+    threshold, so only the other pairs are clipped.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold!r}")
+    _check_unit_threshold(iou_threshold, "iou_threshold")
     order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
     kept: list[ScoredBox] = []
+    kept_prepared: list[tuple] = []
     for i in order:
         cand = boxes[i]
-        if all(rotated_iou(cand.box, k.box) <= iou_threshold for k in kept):
+        b = cand.box
+        a = _prepare(b.cx, b.cy, b.w, b.h, b.theta)
+        ax, ay, diag = a[0], a[1], a[5]
+        for k in kept_prepared:
+            dx, dy = k[0] - ax, k[1] - ay
+            reach = 0.5 * (diag + k[5])
+            if dx * dx + dy * dy <= reach * reach and _overlap(a, k) > iou_threshold:
+                break
+        else:
             kept.append(cand)
+            kept_prepared.append(a)
     return kept

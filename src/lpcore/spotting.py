@@ -13,7 +13,7 @@ import numpy as np
 
 from .ctc import exact_match
 from .errors import ImageIdMismatchError
-from .geometry import RotatedBox, _box_array, _iou_pairs
+from .geometry import RotatedBox, _box_array, _check_unit_threshold, _iou_pairs
 
 DEFAULT_IOU_THRESH = 0.6
 UNIDENTIFIABLE_CHAR = "*"
@@ -102,10 +102,9 @@ def _match_columns(
     ``gt`` and ``pred`` are columns as dataio._read_records returns them.
     Rows of one image id form one image, in row order; a missing score
     counts as 0. An image with rows on one side only is matched against
-    an empty image. iou_thresh must lie in [0, 1].
+    an empty image. iou_thresh must be a real number in [0, 1], not a bool.
     """
-    if not 0.0 <= iou_thresh <= 1.0:
-        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh!r}")
+    _check_unit_threshold(iou_thresh, "iou_thresh")
     gt_ids, _, _, gt_boxes, gt_texts = gt
     pred_ids, scores, _, pred_boxes, pred_texts = pred
     images = sorted(set(gt_ids).union(pred_ids))

@@ -425,6 +425,21 @@ class TestDeltaValidation:
         with pytest.raises(ValueError, match=r"sides must be in \[1e-150, 1e\+150\]"):
             refine_anchor(b, ShapeDelta(dw, dh, 0))
 
+    @pytest.mark.parametrize("dw", [709.0, 710.0])
+    def test_side_overflow_rejected_as_out_of_range(self, dw):
+        # exp(709) is finite, but its product with a 1e150 side is not; exp(710)
+        # overflows itself. Both are the side-range error, for either side.
+        wide, tall = RotatedBox(0, 0, 1e150, 1, 0), RotatedBox(0, 0, 1, 1e150, 0)
+        side_range = r"sides must be in \[1e-150, 1e\+150\]"
+        with pytest.raises(ValueError, match=side_range):
+            decode_delta(wide, BoxDelta(0, 0, dw, 0, 0))
+        with pytest.raises(ValueError, match=side_range):
+            decode_delta(tall, BoxDelta(0, 0, 0, dw, 0))
+        with pytest.raises(ValueError, match=side_range):
+            refine_anchor(wide, ShapeDelta(dw, 0, 0))
+        with pytest.raises(ValueError, match=side_range):
+            refine_anchor(tall, ShapeDelta(0, dw, 0))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             BoxDelta(math.nan, 0, 0, 0, 0)

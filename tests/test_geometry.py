@@ -481,6 +481,16 @@ class TestRotatedIouMatrix:
         far = np.array([[1e308, -1e308, 2.0, 1.0, 0.0], [-1e308, 1e308, 2.0, 1.0, 0.0]])
         np.testing.assert_array_equal(rotated_iou_matrix(far, far), np.eye(2))
 
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0), np.zeros((0, 5), dtype=np.int32)])
+    def test_empty_input_reads_as_no_rows(self, empty):
+        one = np.array([[0.0, 0.0, 2.0, 1.0, 0.2]])
+        for got, shape in (
+            (rotated_iou_matrix(empty, one), (0, 1)),
+            (rotated_iou_matrix(one, empty), (1, 0)),
+            (rotated_iou_matrix(empty, empty), (0, 0)),
+        ):
+            assert got.shape == shape and got.dtype == np.float64
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -491,6 +501,7 @@ class TestRotatedIouMatrix:
             [[math.nan, 0.0, 1.0, 1.0, 0.0]],
             [[0.0, 0.0, -1.0, 1.0, 0.0]],
             [[0.0, 0.0, 1.0, 1e200, 0.0]],
+            [[]],
         ],
     )
     def test_rejects_bad_rows(self, bad):
@@ -645,7 +656,165 @@ class TestIouPairs:
         assert np.count_nonzero(got) == len(a) - len(a[::3])
 
 
+def unprepared_corners(cx, cy, w, h, theta, ox, oy):
+    """Corners of a box relative to (ox, oy), worked out from its fields on
+    every call as rotated_iou and rbox_to_quad did before boxes were prepared
+    once; the bit-level reference for the prepared form."""
+    c, s = math.cos(theta), math.sin(theta)
+    hw, hh = w / 2.0, h / 2.0
+    x, y = cx - ox, cy - oy
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    return [
+        (x - wc + hs, y - ws - hc),
+        (x + wc + hs, y + ws - hc),
+        (x + wc - hs, y + ws + hc),
+        (x - wc - hs, y - ws + hc),
+    ]
+
+
+def unprepared_iou(a, b):
+    """rotated_iou with corners from unprepared_corners, operation for operation."""
+    ax, ay, aw, ah, at = a.cx, a.cy, a.w, a.h, a.theta
+    bx, by, bw, bh, bt = b.cx, b.cy, b.w, b.h, b.theta
+    dx, dy = bx - ax, by - ay
+    reach = 0.5 * (math.hypot(aw, ah) + math.hypot(bw, bh))
+    if dx * dx + dy * dy > reach * reach:
+        return 0.0
+    if (bx, by, bw, bh, bt) < (ax, ay, aw, ah, at):
+        ax, ay, aw, ah, at, bx, by, bw, bh, bt = bx, by, bw, bh, bt, ax, ay, aw, ah, at
+    inter_poly = _clip_polygon(
+        unprepared_corners(ax, ay, aw, ah, at, ax, ay),
+        unprepared_corners(bx, by, bw, bh, bt, ax, ay),
+    )
+    inter = abs(_shoelace(inter_poly)) if len(inter_poly) >= 3 else 0.0
+    union = aw * ah + bw * bh - inter
+    if inter <= 0.0 or union <= 0.0:
+        return 0.0
+    return min(inter / union, 1.0)
+
+
+def unprepared_nms(boxes, thresh):
+    """Greedy NMS as a plain loop over unprepared_iou against every kept box."""
+    order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
+    kept = []
+    for i in order:
+        cand = boxes[i]
+        if all(unprepared_iou(cand.box, k.box) <= thresh for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64)
+
+
+def wide_scale_pairs(n, seed):
+    """Box pairs with sides across [MIN_SIDE, MAX_SIDE], centres out to 1e7,
+    any angle and offsets up to 3 sizes; every 8th pair is an exact duplicate."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(n):
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        centre = np.sign(rng.uniform(-1, 1, 2)) * 10.0 ** rng.uniform(-3.0, 7.0, 2)
+
+        def box(cx, cy):
+            w, h = np.clip(scale * 10.0 ** rng.uniform(-1.0, 1.0, 2), MIN_SIDE, MAX_SIDE)
+            return RotatedBox(float(cx), float(cy), float(w), float(h), rng.uniform(-4.0, 4.0))
+
+        a = box(*centre)
+        if k % 8 == 0:
+            pairs.append((a, RotatedBox(a.cx, a.cy, a.w, a.h, a.theta)))
+        else:
+            pairs.append((a, box(*(centre + scale * rng.uniform(-3.0, 3.0, 2)))))
+    return pairs
+
+
+def plate_like_candidates(rng, m, plates):
+    """m scored boxes shaped like a detector's: 80% jittered around 1-3
+    plates, the rest scattered over a 512-pixel image with lower scores."""
+    gts = []
+    for w in rng.uniform(40.0, 120.0, plates):
+        cx, cy = rng.uniform(70.0, 442.0, 2)
+        gts.append(RotatedBox(cx, cy, w, w / rng.uniform(2.5, 4.0), rng.uniform(-0.35, 0.35)))
+    boxes = []
+    for _ in range(round(0.8 * m)):
+        g = gts[rng.integers(plates)]
+        j = rng.normal(size=5)
+        box = RotatedBox(
+            g.cx + 0.15 * g.w * j[0],
+            g.cy + 0.15 * g.h * j[1],
+            g.w * math.exp(0.1 * j[2]),
+            g.h * math.exp(0.1 * j[3]),
+            g.theta + 0.05 * j[4],
+        )
+        boxes.append(ScoredBox(box, float(rng.uniform(0.3, 1.0))))
+    while len(boxes) < m:
+        w = rng.uniform(20.0, 100.0)
+        x, y = rng.uniform(0.0, 512.0, 2)
+        box = RotatedBox(x, y, w, w / rng.uniform(2.0, 5.0), rng.uniform(-0.7, 0.7))
+        boxes.append(ScoredBox(box, float(rng.uniform(0.0, 0.6))))
+    return [boxes[i] for i in rng.permutation(m)]
+
+
+def assert_same_kept(boxes, thresh):
+    """rotated_nms keeps the very objects unprepared_nms keeps, in its order."""
+    got, want = rotated_nms(boxes, thresh), unprepared_nms(boxes, thresh)
+    assert [id(k) for k in got] == [id(k) for k in want]
+    return got
+
+
+class TestPreparedBoxes:
+    def test_iou_is_unprepared_iou_bit_for_bit(self):
+        pairs = wide_scale_pairs(10_000, seed=61)
+        for x, y in ((0, 1), (1, 0)):
+            got = [rotated_iou(p[x], p[y]) for p in pairs]
+            want = [unprepared_iou(p[x], p[y]) for p in pairs]
+            np.testing.assert_array_equal(bits(got), bits(want))
+        assert 2_000 < np.count_nonzero(got) < 9_000  # both the clip and the early-out
+        assert min(got[::8]) > 1.0 - 1e-13  # duplicates
+
+    def test_quad_corners_are_unprepared_corners(self):
+        boxes = [b for pair in wide_scale_pairs(2_000, seed=67) for b in pair]
+        valid = 0
+        for b in boxes:
+            corners = unprepared_corners(b.cx, b.cy, b.w, b.h, b.theta, 0.0, 0.0)
+            try:
+                want = Quad(corners)
+            except DegenerateQuadError:  # a tiny box far out rounds to a zero area
+                with pytest.raises(DegenerateQuadError):
+                    rbox_to_quad(b)
+                continue
+            np.testing.assert_array_equal(bits(rbox_to_quad(b).vertices), bits(want.vertices))
+            valid += 1
+        assert valid > len(boxes) // 2
+
+
+nms_scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
 class TestRotatedNms:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.builds(ScoredBox, rboxes(max_center=6.0), nms_scores), max_size=14),
+        st.lists(st.integers(0, 13), max_size=6),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_keeps_the_unprepared_loops_objects(self, boxes, repeats, thresh):
+        # repeats add equal boxes as new objects, at the same or a tied score
+        if boxes:
+            boxes = boxes + [ScoredBox(boxes[i % len(boxes)].box, boxes[i % len(boxes)].score)
+                             for i in repeats]
+        assert_same_kept(boxes, thresh)
+
+    def test_keeps_the_unprepared_loops_objects_on_plate_sets(self):
+        rng = np.random.default_rng(71)
+        kept = total = 0
+        for k in range(40):
+            boxes = plate_like_candidates(rng, int(rng.integers(200, 401)), 1 + k % 3)
+            kept += len(assert_same_kept(boxes, 0.5))
+            total += len(boxes)
+        assert 0.1 < kept / total < 0.5
+
     def test_high_overlap_keeps_best(self):
         a = ScoredBox(RotatedBox(0, 0, 2, 2, 0), 0.9)
         b = ScoredBox(RotatedBox(0.05, 0, 2, 2, 0), 0.8)
@@ -714,6 +883,16 @@ class TestRotatedNms:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             rotated_nms([], 1.5)
+
+    @pytest.mark.parametrize("thresh", [True, False, np.True_, "0.6", None, math.nan])
+    def test_non_real_threshold_rejected(self, thresh):
+        # True is not read as 1.0, and a string or None is no TypeError
+        boxes = [
+            ScoredBox(RotatedBox(0, 0, 2, 2, 0), 0.9),
+            ScoredBox(RotatedBox(0.05, 0, 2, 2, 0), 0.8),
+        ]
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \[0, 1\]"):
+            rotated_nms(boxes, thresh)
 
     def test_score_validation(self):
         with pytest.raises(ValueError):

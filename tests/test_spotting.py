@@ -204,6 +204,22 @@ class TestMatchRecords:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("iou_thresh must be in [0, 1]")
 
+    @pytest.mark.parametrize("thresh", [True, False, np.True_, "0.6", None, 0.5j])
+    def test_non_real_threshold_rejected(self, thresh):
+        # a bool is not read as 0 or 1, and a string or None is no TypeError
+        gts, preds = self.build()
+        with pytest.raises(ValueError, match=r"iou_thresh must be in \[0, 1\]"):
+            match_records(gts, preds, iou_thresh=thresh)
+        with pytest.raises(ValueError, match=r"iou_thresh must be in \[0, 1\]"):
+            match_image(gts[0], preds[0], iou_thresh=thresh)
+
+    @pytest.mark.parametrize("thresh", [0, 1, np.int64(0), np.float32(0.5)])
+    def test_real_threshold_of_any_type_accepted(self, thresh):
+        gts, preds = self.build()
+        assert match_records(gts, preds, iou_thresh=thresh) == match_records(
+            gts, preds, iou_thresh=float(thresh)
+        )
+
     def test_duplicate_image_ids_rejected(self):
         gts, preds = self.build()
         dup = SpottingRecord("img0", (SpottingItem(square(40.0), "京A99999"),))
