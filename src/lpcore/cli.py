@@ -20,17 +20,26 @@ from . import anchors, ctc, dataio, losses, oracles
 from .errors import ParseError
 from .feature_ops import CropSpec, FeatureMap, rroi_align
 from .geometry import RotatedBox, ScoredBox, rotated_iou, rotated_iou_matrix, rotated_nms
-from .spotting import SpottingCounts, _match_columns, aggregate
+from .spotting import SpottingCounts, _count_pairs, _match_columns, aggregate
 
 REPORT_FORMAT = "lpcore-eval-report-v1"
 _NOISE_RANGE = f"[{-dataio.SYNTH_NOISE_MAX:g}, {dataio.SYNTH_NOISE_MAX:g}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Per-image counts, with their totals and the metrics of the totals."""
+    """Per-image counts as columns, with their totals and the metrics of the totals.
 
-    per_image: tuple[tuple[str, SpottingCounts], ...]
+    ``image_ids`` is sorted; ``tp``, ``fp`` and ``fn`` are read-only int
+    arrays aligned with it. ``per_image`` is the same counts as
+    (image_id, SpottingCounts) pairs of Python ints, built anew on each
+    access, so a report kept alive holds no object per image.
+    """
+
+    image_ids: list[str]
+    tp: np.ndarray = field(repr=False)
+    fp: np.ndarray = field(repr=False)
+    fn: np.ndarray = field(repr=False)
     config: dict
     totals: SpottingCounts = field(init=False)
     recall: float = field(init=False)
@@ -38,13 +47,36 @@ class EvalReport:
     fscore: float = field(init=False)
 
     def __post_init__(self):
-        counts = [c for _, c in self.per_image]
-        totals = SpottingCounts(
-            sum(c.tp for c in counts), sum(c.fp for c in counts), sum(c.fn for c in counts)
-        )
+        for counts in (self.tp, self.fp, self.fn):
+            counts.flags.writeable = False
+        totals = SpottingCounts(int(self.tp.sum()), int(self.fp.sum()), int(self.fn.sum()))
         object.__setattr__(self, "totals", totals)
         for name, value in zip(("recall", "precision", "fscore"), aggregate([totals])):
             object.__setattr__(self, name, value)
+
+    @property
+    def per_image(self) -> tuple[tuple[str, SpottingCounts], ...]:
+        return tuple(_count_pairs(self.image_ids, self.tp, self.fp, self.fn))
+
+
+def _count_lines(report: EvalReport, template: str) -> list[str]:
+    """One ``template % (image_id, tp, fp, fn)`` line per image."""
+    rows = zip(report.image_ids, report.tp.tolist(), report.fp.tolist(), report.fn.tolist())
+    return [template % row for row in rows]
+
+
+def _format_table(report: EvalReport) -> str:
+    width = max(len("image_id"), max(map(len, report.image_ids), default=0))
+    row = f"%-{width}s  %4s %4s %4s"
+    total = report.totals
+    lines = [
+        row % ("image_id", "tp", "fp", "fn"),
+        *_count_lines(report, row),
+        row % ("TOTAL", total.tp, total.fp, total.fn),
+        f"recall={report.recall:.6f} precision={report.precision:.6f} "
+        f"fscore={report.fscore:.6f}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _format_report(report: EvalReport, timestamp: bool) -> str:
@@ -55,7 +87,7 @@ def _format_report(report: EvalReport, timestamp: bool) -> str:
     for key, value in report.config.items():
         lines.append(f"{key}={value}")
     lines += [
-        f"images={len(report.per_image)}",
+        f"images={len(report.image_ids)}",
         f"tp={total.tp}",
         f"fp={total.fp}",
         f"fn={total.fn}",
@@ -64,9 +96,8 @@ def _format_report(report: EvalReport, timestamp: bool) -> str:
         f"fscore={report.fscore:.6f}",
         "[per_image]",
         "image_id,tp,fp,fn",
+        *_count_lines(report, "%s,%s,%s,%s"),
     ]
-    for image_id, c in report.per_image:
-        lines.append(f"{image_id},{c.tp},{c.fp},{c.fn}")
     return "\n".join(lines) + "\n"
 
 
@@ -78,14 +109,22 @@ def cmd_evaluate(
     report_path=None,
     timestamp: bool = True,
     out=None,
+    timings: bool = False,
 ) -> EvalReport:
-    """Score predictions against ground truth; prints a per-image table."""
+    """Score predictions against ground truth; prints a per-image table.
+
+    With ``timings``, one ``parse_s=... match_s=... report_s=...`` line of
+    stage wall times goes to stderr; the table and the report are unchanged.
+    """
     out = out if out is not None else sys.stdout
+    start = time.perf_counter()
     gts = dataio._read_records(gt_path, ground_truth=True)
     preds = dataio._read_records(pred_path, ground_truth=False)
-    per_image = _match_columns(gts, preds, iou_thresh, ignore_unidentifiable)
+    parsed = time.perf_counter()
+    columns = _match_columns(gts, preds, iou_thresh, ignore_unidentifiable)
+    matched = time.perf_counter()
     report = EvalReport(
-        tuple(per_image),
+        *columns,
         {
             "gt_path": str(gt_path),
             "pred_path": str(pred_path),
@@ -93,19 +132,16 @@ def cmd_evaluate(
             "ignore_unidentifiable": str(ignore_unidentifiable).lower(),
         },
     )
-    width = max([len("image_id")] + [len(i) for i, _ in per_image])
-    print(f"{'image_id':<{width}}  {'tp':>4} {'fp':>4} {'fn':>4}", file=out)
-    for image_id, c in per_image:
-        print(f"{image_id:<{width}}  {c.tp:>4} {c.fp:>4} {c.fn:>4}", file=out)
-    total = report.totals
-    print(f"{'TOTAL':<{width}}  {total.tp:>4} {total.fp:>4} {total.fn:>4}", file=out)
-    print(
-        f"recall={report.recall:.6f} precision={report.precision:.6f} "
-        f"fscore={report.fscore:.6f}",
-        file=out,
-    )
+    out.write(_format_table(report))
     if report_path is not None:
         Path(report_path).write_text(_format_report(report, timestamp), encoding="utf-8")
+    if timings:
+        done = time.perf_counter()
+        print(
+            f"parse_s={parsed - start:.6f} match_s={matched - parsed:.6f} "
+            f"report_s={done - matched:.6f}",
+            file=sys.stderr,
+        )
     return report
 
 
@@ -389,6 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp line from the report"
     )
+    p_eval.add_argument(
+        "--timings", action="store_true", help="print parse, match and report times to stderr"
+    )
 
     sub.add_parser("selfcheck", help="run all oracle suites")
 
@@ -425,6 +464,7 @@ def main(argv=None) -> int:
                 ignore_unidentifiable=args.ignore_unidentifiable,
                 report_path=args.report,
                 timestamp=not args.no_timestamp,
+                timings=args.timings,
             )
             return 0
         if args.command == "selfcheck":

@@ -221,7 +221,12 @@ def quad_to_rbox(q: Quad) -> RotatedBox:
 
 
 def rbox_to_quad(b: RotatedBox) -> Quad:
-    """Corners counter-clockwise starting at box-local (-w/2, -h/2)."""
+    """Corners counter-clockwise starting at box-local (-w/2, -h/2).
+
+    Raises DegenerateQuadError when the corners, rounded to floats, enclose
+    no area: a box too small for its distance from the origin, such as
+    RotatedBox(1e6, 0, 1e-12, 1e-12, 0), whose corners all round to the centre.
+    """
     p = _prepare(b.cx, b.cy, b.w, b.h, b.theta)
     return Quad(_corner_points(b.cx, b.cy, p))
 

@@ -78,8 +78,10 @@ def match_image(
     """
     if gt.image_id != pred.image_id:
         raise ImageIdMismatchError(f"image ids differ: {gt.image_id!r} vs {pred.image_id!r}")
-    counts = _match_columns(_columns([gt]), _columns([pred]), iou_thresh, ignore_unidentifiable)
-    return counts[0][1] if counts else SpottingCounts()
+    images, *counts = _match_columns(
+        _columns([gt]), _columns([pred]), iou_thresh, ignore_unidentifiable
+    )
+    return _count_pairs(images, *counts)[0][1] if images else SpottingCounts()
 
 
 def _columns(records: list[SpottingRecord]):
@@ -96,13 +98,14 @@ def _columns(records: list[SpottingRecord]):
 
 def _match_columns(
     gt, pred, iou_thresh: float, ignore_unidentifiable: bool
-) -> list[tuple[str, SpottingCounts]]:
-    """match_image on every image of two record columns, sorted by image id.
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """match_image on every image of two record columns, as count columns.
 
     ``gt`` and ``pred`` are columns as dataio._read_records returns them.
     Rows of one image id form one image, in row order; a missing score
     counts as 0. An image with rows on one side only is matched against
     an empty image. iou_thresh must be a real number in [0, 1], not a bool.
+    Returns the sorted image ids and int arrays of their tp, fp and fn.
     """
     _check_unit_threshold(iou_thresh, "iou_thresh")
     gt_ids, _, _, gt_boxes, gt_texts = gt
@@ -132,8 +135,8 @@ def _match_columns(
     hit, hit_pred = hit[order], hit_pred[order]
     # a prediction claims at its last candidate pair
     ends = np.append(hit_pred[1:] != hit_pred[:-1], True)
-    tp = [0] * len(images)
-    dont_care = [0] * len(images)  # ignored claims of placeholder plates: not FP
+    tp_rows = []  # ground-truth rows claimed with the right text
+    dont_care_rows = []  # placeholder plates claimed under ignore: not FP
     taken = set()
     best_j, best_iou = -1, 0.0
     for i, j, v, end in zip(
@@ -147,20 +150,25 @@ def _match_columns(
         g_text = gt_texts[best_j]
         if is_unidentifiable(g_text):
             if ignore_unidentifiable:
-                dont_care[g_img[best_j]] += 1
+                dont_care_rows.append(best_j)
         elif exact_match(pred_texts[i], g_text):
-            tp[g_img[best_j]] += 1
+            tp_rows.append(best_j)
         best_j, best_iou = -1, 0.0
     # every TP is an identifiable ground truth, and no other is matched
     scored = g_count
     if ignore_unidentifiable:
         placeholder = np.fromiter(map(is_unidentifiable, gt_texts), bool, len(gt_texts))
         scored = scored - np.bincount(g_img[placeholder], minlength=len(images))
-    tp_arr = np.array(tp, dtype=np.intp)
-    fp = (p_count - tp_arr - dont_care).tolist()
-    fn = (scored - tp_arr).tolist()
+    tp = np.bincount(g_img[tp_rows], minlength=len(images))
+    dont_care = np.bincount(g_img[dont_care_rows], minlength=len(images))
+    return images, tp, p_count - tp - dont_care, scored - tp
+
+
+def _count_pairs(images, tp, fp, fn) -> list[tuple[str, SpottingCounts]]:
+    """Count columns as (image_id, SpottingCounts) pairs of Python ints."""
     return [
-        (image_id, SpottingCounts(t, f, m)) for image_id, t, f, m in zip(images, tp, fp, fn)
+        (image_id, SpottingCounts(*c))
+        for image_id, c in zip(images, zip(tp.tolist(), fp.tolist(), fn.tolist()))
     ]
 
 
@@ -200,7 +208,8 @@ def match_records(
     """
     gt_by_id = _by_image_id(gts, "ground-truth")
     pred_by_id = _by_image_id(preds, "prediction")
-    counts = dict(_match_columns(_columns(gts), _columns(preds), iou_thresh, ignore_unidentifiable))
+    columns = _match_columns(_columns(gts), _columns(preds), iou_thresh, ignore_unidentifiable)
+    counts = dict(_count_pairs(*columns))
     return [
         (image_id, counts.get(image_id) or SpottingCounts())
         for image_id in sorted(gt_by_id.keys() | pred_by_id.keys())

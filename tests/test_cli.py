@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import lpcore.cli as cli
 from lpcore import oracles
 from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.geometry import RotatedBox
-from lpcore.spotting import SpottingCounts, SpottingItem, SpottingRecord
+from lpcore.spotting import SpottingCounts, SpottingItem, SpottingRecord, aggregate
 
 
 def hand_fixture(tmp_path):
@@ -122,7 +123,120 @@ class TestEvaluate:
         assert rc == 0
 
 
+def parent_table(per_image, out):
+    """The evaluate table as the per-line print loop used to write it."""
+    total = sum((c for _, c in per_image), SpottingCounts())
+    recall, precision, fscore = aggregate([total])
+    width = max([len("image_id")] + [len(i) for i, _ in per_image])
+    print(f"{'image_id':<{width}}  {'tp':>4} {'fp':>4} {'fn':>4}", file=out)
+    for image_id, c in per_image:
+        print(f"{image_id:<{width}}  {c.tp:>4} {c.fp:>4} {c.fn:>4}", file=out)
+    print(f"{'TOTAL':<{width}}  {total.tp:>4} {total.fp:>4} {total.fn:>4}", file=out)
+    print(f"recall={recall:.6f} precision={precision:.6f} fscore={fscore:.6f}", file=out)
+
+
+def parent_report(per_image, config):
+    """The timestamp-free report as the line-list formatter used to build it."""
+    total = sum((c for _, c in per_image), SpottingCounts())
+    recall, precision, fscore = aggregate([total])
+    lines = ["format=lpcore-eval-report-v1"]
+    for key, value in config.items():
+        lines.append(f"{key}={value}")
+    lines += [
+        f"images={len(per_image)}",
+        f"tp={total.tp}",
+        f"fp={total.fp}",
+        f"fn={total.fn}",
+        f"recall={recall:.6f}",
+        f"precision={precision:.6f}",
+        f"fscore={fscore:.6f}",
+        "[per_image]",
+        "image_id,tp,fp,fn",
+    ]
+    for image_id, c in per_image:
+        lines.append(f"{image_id},{c.tp},{c.fp},{c.fn}")
+    return "\n".join(lines) + "\n"
+
+
+LONG_ID = "a_long_image_id_that_sets_the_table_width"
+GOLDEN_GT = f"""img_a,,0,0,4,2,0,京A11111
+img_a,,10,0,4,2,0,沪B*2345
+img_a,,20,0,4,2,0,*
+img_b,,0,0,4,2,0,京A11112
+{LONG_ID},,0,0,4,2,0,京A11111
+{LONG_ID},,9,0,4,2,0,京A11113
+"""
+GOLDEN_PRED = f"""img_a,0.9,0,0,4,2,0,京A11111
+img_a,0.8,10.1,0,4,2,0,沪B12345
+img_a,,20.2,0,4,2,0,*
+img_c,0.7,0,0,4,2,0,京A11111
+{LONG_ID},0.5,0.2,0,4,2,0,京A11112
+{LONG_ID},0.6,0.1,0,4,2,0,京A11111
+{LONG_ID},0.4,30,0,4,2,0,京A11113
+"""
+
+
+class TestEvaluateGoldenOutput:
+    """evaluate's stdout and report bytes against the parent's writers."""
+
+    @pytest.mark.parametrize("ignore", [False, True])
+    @pytest.mark.parametrize(
+        "gt_text, pred_text",
+        [(GOLDEN_GT, GOLDEN_PRED), (GOLDEN_GT, ""), ("", GOLDEN_PRED), ("", "")],
+        ids=["both", "empty-pred", "empty-gt", "empty"],
+    )
+    def test_hand_files(self, tmp_path, gt_text, pred_text, ignore):
+        gt_path, pred_path = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        gt_path.write_text(gt_text, encoding="utf-8")
+        pred_path.write_text(pred_text, encoding="utf-8")
+        per_image = self.check(gt_path, pred_path, 0.5, ignore, tmp_path / "report.txt")
+        if gt_text and pred_text:
+            ids = [image_id for image_id, _ in per_image]
+            assert ids == sorted(["img_a", "img_b", "img_c", LONG_ID])
+            assert len(LONG_ID) > 8 and sum(c.tp for _, c in per_image) == 2
+
+    @pytest.mark.parametrize("ignore", [False, True])
+    def test_synth_set(self, tmp_path, ignore):
+        gt_path, pred_path = cli.cmd_synth(8, 300, 0.3, tmp_path / "fix")
+        self.check(gt_path, pred_path, 0.6, ignore, tmp_path / "report.txt")
+
+    @staticmethod
+    def check(gt_path, pred_path, iou, ignore, report_path):
+        out = io.StringIO()
+        report = cli.cmd_evaluate(
+            gt_path, pred_path, iou, ignore, report_path, timestamp=False, out=out
+        )
+        want = io.StringIO()
+        parent_table(report.per_image, want)
+        assert out.getvalue() == want.getvalue()
+        config = {
+            "gt_path": str(gt_path),
+            "pred_path": str(pred_path),
+            "iou_thresh": f"{iou:.6f}",
+            "ignore_unidentifiable": str(ignore).lower(),
+        }
+        want_report = parent_report(report.per_image, config).encode("utf-8")
+        assert report_path.read_bytes() == want_report
+        return report.per_image
+
+
 class TestMainExitCodes:
+    def test_timings_line_goes_to_stderr_only(self, tmp_path, capsys):
+        gt_path, pred_path = cli.cmd_synth(6, 50, 0.3, tmp_path / "fix")
+        outputs, errs = [], []
+        for flags in ([], ["--timings"]):
+            report_path = tmp_path / f"report{len(flags)}.txt"
+            argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)]
+            argv += ["--report", str(report_path), "--no-timestamp", *flags]
+            assert cli.main(argv) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured.out, report_path.read_bytes()))
+            errs.append(captured.err)
+        assert outputs[0] == outputs[1] and "fscore=" in outputs[0][0]
+        assert errs[0] == ""
+        match = re.fullmatch(r"parse_s=(\S+) match_s=(\S+) report_s=(\S+)\n", errs[1])
+        assert match and all(0.0 <= float(v) < 60.0 for v in match.groups())
+
     def test_success(self, tmp_path, capsys):
         gt_path, pred_path = hand_fixture(tmp_path)
         rc = cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)])

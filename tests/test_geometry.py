@@ -210,6 +210,18 @@ class TestRboxToQuad:
             assert abs(back.theta + QUARTER_PI) < 1e-9
             assert abs(back.w - b.w) < 1e-9 and abs(back.h - b.h) < 1e-9
 
+    @pytest.mark.parametrize(
+        "b",
+        [
+            RotatedBox(1e6, 0, 1e-12, 1e-12, 0),  # corners round to the centre
+            RotatedBox(71299.45, 32725.96, 8e-10, 2.7e-10, -0.7757),  # area lost to rounding
+        ],
+    )
+    def test_tiny_box_far_out_is_degenerate_quad(self, b):
+        with pytest.raises(DegenerateQuadError, match="quad has zero area"):
+            rbox_to_quad(b)
+        assert rbox_to_quad(RotatedBox(0, 0, b.w, b.h, b.theta)).area > 0
+
 
 class TestRotatedIou:
     def test_identical_boxes(self):

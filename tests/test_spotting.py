@@ -1,7 +1,11 @@
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcore import cli
 from lpcore.dataio import parse_predictions, write_predictions
@@ -362,3 +366,28 @@ class TestColumnMatcherEquivalence:
                 for i in sorted(gts.keys() | preds.keys())
             )
             assert report.per_image == want
+
+
+class TestCountTypes:
+    """Count columns must not leak numpy scalars into the public counts."""
+
+    @staticmethod
+    def assert_python_counts(pairs):
+        for image_id, c in pairs:
+            assert type(image_id) is str and type(c) is SpottingCounts
+            assert [type(v) for v in (c.tp, c.fp, c.fn)] == [int, int, int]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(0, 30), ignore=st.booleans())
+    def test_per_image_python_ints_summing_to_totals(self, seed, n_images, ignore):
+        gts, preds = random_images(np.random.default_rng(seed), n_images)
+        self.assert_python_counts(match_records(gts, preds, 0.5, ignore))
+        with tempfile.TemporaryDirectory() as tmp:
+            gt_path, pred_path = Path(tmp, "gt.txt"), Path(tmp, "pred.txt")
+            write_predictions(gt_path, [r for r in gts if r.items])
+            write_predictions(pred_path, [r for r in preds if r.items])
+            report = cli.cmd_evaluate(gt_path, pred_path, 0.5, ignore, out=io.StringIO())
+        self.assert_python_counts(report.per_image)
+        self.assert_python_counts([("totals", report.totals)])
+        assert sum((c for _, c in report.per_image), SpottingCounts()) == report.totals
+        assert [type(v) for v in (report.recall, report.precision, report.fscore)] == [float] * 3
