@@ -36,6 +36,60 @@ def whole_array_monte_carlo_iou(a, b, samples, rng):
     return inter / (a.area + b.area - inter)
 
 
+def per_corner_dense_rroi_align(fm, box, spec, oversample):
+    """The dense oracle as it was before the corner table: a meshgrid and
+    four clipped, in-bounds-masked gathers per cell."""
+    out = np.zeros((fm.channels, spec.out_h, spec.out_w))
+    data = fm.data
+    _, map_h, map_w = data.shape
+    cos_t, sin_t = math.cos(box.theta), math.sin(box.theta)
+    frac = (np.arange(oversample) + 0.5) / oversample
+    for i in range(spec.out_h):
+        vs = (i + frac) / spec.out_h * box.h - box.h / 2
+        for j in range(spec.out_w):
+            us = (j + frac) / spec.out_w * box.w - box.w / 2
+            uu, vv = np.meshgrid(us, vs)
+            px = box.cx + uu * cos_t - vv * sin_t
+            py = box.cy + uu * sin_t + vv * cos_t
+            x0 = np.floor(px).astype(int)
+            y0 = np.floor(py).astype(int)
+            fx = px - x0
+            fy = py - y0
+            acc = np.zeros((fm.channels, oversample, oversample))
+            for oy, ox, wgt in (
+                (0, 0, (1 - fx) * (1 - fy)),
+                (0, 1, fx * (1 - fy)),
+                (1, 0, (1 - fx) * fy),
+                (1, 1, fx * fy),
+            ):
+                yi = y0 + oy
+                xi = x0 + ox
+                ok = (xi >= 0) & (xi < map_w) & (yi >= 0) & (yi < map_h)
+                acc += data[:, np.clip(yi, 0, map_h - 1), np.clip(xi, 0, map_w - 1)] * (wgt * ok)
+            out[:, i, j] = acc.mean(axis=(1, 2))
+    return out
+
+
+def golden_crop_boxes(map_h, map_w, seed):
+    """Seeded boxes inside a map_h x map_w map, straddling each of its edges,
+    wholly off it and centred far out (up to 1e6), plus two unrotated boxes
+    whose samples land exactly on pixels and on the last row and column."""
+    rng = np.random.default_rng(seed)
+
+    def box(cx, cy):
+        return RotatedBox(cx, cy, *rng.uniform(0.5, 14.0, size=2),
+                          rng.uniform(-math.pi / 4, math.pi / 4))
+
+    boxes = [box(rng.uniform(0.3, 0.7) * map_w, rng.uniform(0.3, 0.7) * map_h)]
+    boxes += [box(edge_x, rng.uniform(0, map_h)) for edge_x in (0.0, map_w - 1.0)]
+    boxes += [box(rng.uniform(0, map_w), edge_y) for edge_y in (0.0, map_h - 1.0)]
+    boxes += [box(-20.0, -15.0), box(map_w + 20.0, rng.uniform(0, map_h))]
+    boxes += [box(*rng.uniform(-1e6, 1e6, size=2)), box(1e6, -1e6)]
+    boxes += [RotatedBox(map_w - 1.0, map_h - 1.0, 4.0, 2.0, 0.0),
+              RotatedBox(0.0, 0.0, 3.0, 3.0, 0.0)]
+    return boxes
+
+
 SAMPLE_COUNTS = [
     1,
     _MC_CHUNK - 1,
@@ -115,6 +169,33 @@ class TestDenseRroiAlign:
                 ValueError, match=f"oversample must be a positive int, got {oversample!r}"
             ):
                 dense_rroi_align(self.FM, self.BOX, CropSpec(), oversample)
+
+    # (oversample, specs): each spec crops every golden box once per
+    # channel count; the default 8x25 spec at 64 points per side, the
+    # selfcheck's crop, is the slowest and has a test of its own below
+    GOLDEN = [
+        (1, [CropSpec(out_h=3, out_w=5, sampling_ratio=1)]),
+        (3, [CropSpec(out_h=1, out_w=7, sampling_ratio=3), CropSpec(out_h=4, out_w=2)]),
+        (64, [CropSpec(out_h=2, out_w=4)]),
+    ]
+
+    @pytest.mark.parametrize("oversample, specs", GOLDEN)
+    def test_bit_identical_to_per_corner_loop(self, oversample, specs):
+        rng = np.random.default_rng(oversample)
+        for channels in (1, 2, 3):
+            fm = FeatureMap(rng.normal(size=(channels, 17, 23)))
+            for spec in specs:
+                for box in golden_crop_boxes(17, 23, seed=channels * oversample):
+                    want = per_corner_dense_rroi_align(fm, box, spec, oversample)
+                    got = dense_rroi_align(fm, box, spec, oversample).data
+                    assert np.array_equal(got, want), (channels, spec, box)
+
+    def test_bit_identical_to_per_corner_loop_on_selfcheck_crops(self):
+        ys, xs = np.mgrid[0:40, 0:50]
+        ramp = FeatureMap(np.stack([xs + 2.0 * ys, 3.0 * xs - ys]).astype(float))
+        for box in (RotatedBox(24.0, 19.0, 14.0, 6.0, 0.4), RotatedBox(48.5, 1.0, 9.0, 5.0, -0.7)):
+            want = per_corner_dense_rroi_align(ramp, box, CropSpec(), 64)
+            assert np.array_equal(dense_rroi_align(ramp, box).data, want), box
 
     def test_oversample_one_samples_cell_centres(self):
         spec = CropSpec(out_h=2, out_w=3)
