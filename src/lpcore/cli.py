@@ -240,19 +240,28 @@ def _suite_gradients() -> float:
     return worst
 
 
-def _suite_rroi_dense() -> float:
+def _ramp_crops(n: int) -> tuple[FeatureMap, list[RotatedBox]]:
+    """The dense-oracle suite's (2, 40, 50) linear ramp and its first n boxes."""
     rng = np.random.default_rng(17)
     ys, xs = np.mgrid[0:40, 0:50]
     ramp = FeatureMap(np.stack([xs + 2.0 * ys, 3.0 * xs - ys]).astype(float))
-    worst = 0.0
-    for _ in range(8):
-        box = RotatedBox(
+    boxes = [
+        RotatedBox(
             rng.uniform(18.0, 30.0),
             rng.uniform(14.0, 24.0),
             rng.uniform(8.0, 16.0),
             rng.uniform(4.0, 8.0),
             rng.uniform(-math.pi / 4, math.pi / 4),
         )
+        for _ in range(n)
+    ]
+    return ramp, boxes
+
+
+def _suite_rroi_dense() -> float:
+    ramp, boxes = _ramp_crops(8)
+    worst = 0.0
+    for box in boxes:
         got = rroi_align(ramp, box)
         want = oracles.dense_rroi_align(ramp, box)
         worst = max(worst, float(np.abs(got.data - want.data).max()))
@@ -336,6 +345,12 @@ def _build_monte_carlo_iou(size: int):
     return oracles.monte_carlo_iou, [(a, b, oracles.DEFAULT_MC_SAMPLES, rng) for a, b in pairs]
 
 
+def _build_dense_rroi_align(size: int):
+    """size crops of the selfcheck ramp through the oracle at 64 points per side."""
+    ramp, boxes = _ramp_crops(size)
+    return oracles.dense_rroi_align, [(ramp, box, CropSpec(), 64) for box in boxes]
+
+
 def _build_rotated_nms(size: int):
     rng = np.random.default_rng(5)
     boxes = [
@@ -380,6 +395,7 @@ BENCH_OPS = (
     ("rroi_align", _build_rroi_align),
     ("ctc_loss", _build_ctc_loss),
     ("monte_carlo_iou", _build_monte_carlo_iou),
+    ("dense_rroi_align", _build_dense_rroi_align),
 )
 
 

@@ -3,25 +3,34 @@
 Every function here recomputes a result by a method unrelated to the
 implementation it cross-checks: Monte-Carlo hit counting instead of
 polygon clipping, exhaustive path enumeration instead of the forward
-recursion, dense oversampling instead of fixed sub-grids, and plain
-nested loops instead of vectorized convolution.
+recursion, dense oversampling instead of fixed sub-grids, plain nested
+loops instead of vectorized convolution, and an angle sweep instead of
+rotating calipers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .feature_ops import CropSpec, FeatureMap
-from .geometry import RotatedBox
+from .ctc import _check_log_probs, _extended_target
+from .feature_ops import CropSpec, FeatureMap, _check_conv_args, _conv_out_dims
+from .geometry import Quad, RotatedBox
 
 DEFAULT_MC_SAMPLES = 1_000_000
+_F32 = np.finfo(np.float32)
+# box and window sides monte_carlo_iou can sample: normal float32 values, at
+# most half the float32 maximum so that u = dx*c + dy*s stays finite
+MC_SIDE_RANGE = (float(_F32.smallest_normal), float(_F32.max) / 2)
 # samples mapped and tested per slice: a slice's float32 temporaries stay in
 # cache, where whole-draw temporaries would stream 4 MB each through memory
 _MC_CHUNK = 16_384
+# (row, column) offsets of the four bilinear corners, in weight order
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _positive_int(name: str, value) -> int:
@@ -47,10 +56,17 @@ def monte_carlo_iou(
 
     Rectangle areas are exact (w*h); only the intersection is counted, on
     the overlap of the two axis-aligned corner hulls. Disjoint hulls prove
-    IoU = 0 without sampling. Both coordinate draws are taken whole, x
+    IoU = 0 without sampling. Samples are placed relative to the window's
+    low corner, and each box centre is made relative to it in float64
+    before any float32 cast, so the estimate does not depend on how far
+    the pair is from the origin. Both coordinate draws are taken whole, x
     first; hits are then counted in chunks of `_MC_CHUNK` over those same
-    samples, each sample through the same float32 operations. `samples`
-    must be a positive int (ValueError otherwise).
+    samples, each sample through the same float32 operations.
+
+    Raises ValueError when `samples` is not a positive int, and when a pair
+    it has to sample has a box or window side outside `MC_SIDE_RANGE`,
+    the normal float32 values with a factor of 2 of headroom, so no
+    float32 step overflows; nothing is drawn then.
     """
     samples = _positive_int("samples", samples)
     if rng is None:
@@ -58,26 +74,33 @@ def monte_carlo_iou(
     ax0, ay0, ax1, ay1 = _corner_bounds(a)
     bx0, by0, bx1, by1 = _corner_bounds(b)
     lo_x, lo_y = max(ax0, bx0), max(ay0, by0)
-    hi_x, hi_y = min(ax1, bx1), min(ay1, by1)
-    if hi_x <= lo_x or hi_y <= lo_y:
+    span_x, span_y = min(ax1, bx1) - lo_x, min(ay1, by1) - lo_y
+    if span_x <= 0.0 or span_y <= 0.0:
         return 0.0
+    low, high = MC_SIDE_RANGE
+    sides = (a.w, a.h, b.w, b.h, span_x, span_y)
+    if not all(low <= side <= high for side in sides):
+        raise ValueError(
+            f"monte_carlo_iou samples in float32: box and window sides must be in "
+            f"[{low:.9g}, {high:.9g}], got {', '.join(f'{side:g}' for side in sides)}"
+        )
     unit_x = rng.random(samples, dtype=np.float32)
     unit_y = rng.random(samples, dtype=np.float32)
 
     def inside(box: RotatedBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         c, s = math.cos(box.theta), math.sin(box.theta)
-        dx = xs - np.float32(box.cx)
-        dy = ys - np.float32(box.cy)
+        dx = xs - np.float32(box.cx - lo_x)
+        dy = ys - np.float32(box.cy - lo_y)
         u = dx * np.float32(c) + dy * np.float32(s)
         v = dy * np.float32(c) - dx * np.float32(s)
         return (np.abs(u) <= np.float32(box.w / 2)) & (np.abs(v) <= np.float32(box.h / 2))
 
     hits = 0
     for start in range(0, samples, _MC_CHUNK):
-        xs = unit_x[start : start + _MC_CHUNK] * np.float32(hi_x - lo_x) + np.float32(lo_x)
-        ys = unit_y[start : start + _MC_CHUNK] * np.float32(hi_y - lo_y) + np.float32(lo_y)
+        xs = unit_x[start : start + _MC_CHUNK] * np.float32(span_x)
+        ys = unit_y[start : start + _MC_CHUNK] * np.float32(span_y)
         hits += int(np.count_nonzero(inside(a, xs, ys) & inside(b, xs, ys)))
-    inter = hits / samples * (hi_x - lo_x) * (hi_y - lo_y)
+    inter = hits / samples * span_x * span_y
     union = a.area + b.area - inter
     return inter / union
 
@@ -95,11 +118,15 @@ def _collapse(path: Sequence[int], blank: int = 0) -> tuple[int, ...]:
 def ctc_loss_brute_force(logp: np.ndarray, target: Sequence[int]) -> float:
     """-log P(target) by summing every one of the K^T alignment paths.
 
-    Returns +inf when no path collapses to the target (infeasible).
+    Returns +inf when no path collapses to the target (infeasible). The
+    arguments are checked as `ctc.ctc_loss` checks them, rows unnormalized
+    allowed: log-probs that are not (T, K) with T >= 1 and K >= 2 raise
+    ShapeMismatchError, NaN or +inf entries ValueError, and a target entry
+    that is not an int or not in [1, K) ValueError.
     """
-    logp = np.asarray(logp, dtype=np.float64)
+    logp = _check_log_probs(logp, validate=False)
     t_len, num_classes = logp.shape
-    want = tuple(target)
+    want = tuple(int(cls) for cls in _extended_target(target, num_classes)[1::2])
     total = 0.0
     for path in itertools.product(range(num_classes), repeat=t_len):
         if _collapse(path) == want:
@@ -112,39 +139,65 @@ def dense_rroi_align(
 ) -> FeatureMap:
     """Rotated crop via brute-force dense averaging (its own sampling code).
 
-    `oversample` (points per cell side) must be a positive int (ValueError
-    otherwise).
+    Each cell averages the bilinear reads of oversample x oversample points.
+    The map is padded with two rings of zeros and the four corners of every
+    anchor pixel are laid out in one table, so an off-map corner reads 0.0
+    and each cell is one gather. `oversample` (points per cell side) must
+    be a positive int (ValueError otherwise).
     """
     oversample = _positive_int("oversample", oversample)
     out = np.zeros((fm.channels, spec.out_h, spec.out_w))
-    data = fm.data
-    _, map_h, map_w = data.shape
+    channels, map_h, map_w = fm.data.shape
+    padded = np.pad(fm.data, ((0, 0), (2, 2), (2, 2)))
+    # table[k, :, (y + 2) * (map_w + 3) + x + 2] is corner k of anchor pixel
+    # (y, x), for y in [-2, map_h] and x in [-2, map_w]; corner-major, so each
+    # corner's gathered plane is contiguous
+    table = np.stack(
+        [padded[:, oy : oy + map_h + 3, ox : ox + map_w + 3] for oy, ox in _CORNERS]
+    ).reshape(4, channels, -1)
     cos_t, sin_t = math.cos(box.theta), math.sin(box.theta)
     frac = (np.arange(oversample) + 0.5) / oversample
     for i in range(spec.out_h):
-        vs = (i + frac) / spec.out_h * box.h - box.h / 2
+        vs = ((i + frac) / spec.out_h * box.h - box.h / 2)[:, None]
         for j in range(spec.out_w):
             us = (j + frac) / spec.out_w * box.w - box.w / 2
-            uu, vv = np.meshgrid(us, vs)
-            px = box.cx + uu * cos_t - vv * sin_t
-            py = box.cy + uu * sin_t + vv * cos_t
-            x0 = np.floor(px).astype(int)
-            y0 = np.floor(py).astype(int)
+            px = (box.cx + us * cos_t) - vs * sin_t
+            py = (box.cy + us * sin_t) + vs * cos_t
+            x0 = np.floor(px)
+            y0 = np.floor(py)
             fx = px - x0
             fy = py - y0
-            acc = np.zeros((fm.channels, oversample, oversample))
-            for oy, ox, wgt in (
-                (0, 0, (1 - fx) * (1 - fy)),
-                (0, 1, fx * (1 - fy)),
-                (1, 0, (1 - fx) * fy),
-                (1, 1, fx * fy),
+            # an anchor beyond -2 or the far edge has all four corners off the
+            # map, as the clipped anchor does
+            anchor = np.clip(y0, -2, map_h) * (map_w + 3) + np.clip(x0, -2, map_w)
+            corners = np.take(table, anchor.astype(np.intp) + (2 * (map_w + 3) + 2), axis=2)
+            acc = np.zeros((channels, oversample, oversample))
+            for k, wgt in enumerate(
+                ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
             ):
-                yi = y0 + oy
-                xi = x0 + ox
-                ok = (xi >= 0) & (xi < map_w) & (yi >= 0) & (yi < map_h)
-                acc += data[:, np.clip(yi, 0, map_h - 1), np.clip(xi, 0, map_w - 1)] * (wgt * ok)
+                acc += corners[k] * wgt
             out[:, i, j] = acc.mean(axis=(1, 2))
     return FeatureMap(out)
+
+
+def min_area_rect_sweep(quad: Quad, angles: int) -> float:
+    """Smallest area of a rectangle enclosing the quad's vertices, over
+    `angles` rectangle orientations evenly spaced in [0, pi/2).
+
+    Each orientation projects every vertex on the rectangle's two axes and
+    takes the bounding-box area; no hull, no calipers. The true minimum is
+    at most this, and within about (w/h + h/w) * pi / (4 * angles) of it
+    relatively, since the area is piecewise smooth in the angle. `angles`
+    must be a positive int (ValueError otherwise).
+    """
+    angles = _positive_int("angles", angles)
+    verts = np.array(quad.vertices)
+    theta = np.arange(angles) * (math.pi / 2 / angles)
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    u = verts[:, 0] * c + verts[:, 1] * s
+    v = verts[:, 1] * c - verts[:, 0] * s
+    areas = (u.max(axis=1) - u.min(axis=1)) * (v.max(axis=1) - v.min(axis=1))
+    return float(areas.min())
 
 
 def conv2d_naive(
@@ -154,16 +207,21 @@ def conv2d_naive(
     stride: int = 1,
     padding: int = 0,
 ) -> FeatureMap:
-    """Direct six-loop cross-correlation; the slow but obvious reference."""
-    weights = np.asarray(weights, dtype=np.float64)
-    out_c, in_c, k, _ = weights.shape
-    oh = (fm.height + 2 * padding - k) // stride + 1
-    ow = (fm.width + 2 * padding - k) // stride + 1
+    """Direct six-loop cross-correlation; the slow but obvious reference.
+
+    The arguments are checked as `feature_ops.conv2d_forward` checks them:
+    weights that are not (out_c, fm.channels, k, k), a bias that is not
+    (out_c,), or a kernel that does not fit the padded map raise
+    ShapeMismatchError, and stride < 1 or padding < 0 ValueError.
+    """
+    weights, bias, k = _check_conv_args(fm, weights, bias, stride, padding)
+    out_c, in_c = weights.shape[:2]
+    oh, ow = _conv_out_dims(fm.height, fm.width, k, stride, padding)
     out = np.zeros((out_c, oh, ow))
     for oc in range(out_c):
         for oy in range(oh):
             for ox in range(ow):
-                acc = 0.0 if bias is None else float(bias[oc])
+                acc = float(bias[oc])
                 for ic in range(in_c):
                     for ki in range(k):
                         for kj in range(k):
@@ -175,11 +233,25 @@ def conv2d_naive(
     return FeatureMap(out)
 
 
+def _positive_finite(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def central_difference(f: Callable[[float], float], x: float, step: float = 1e-5) -> float:
-    """Two-sided finite-difference derivative estimate."""
+    """Two-sided finite-difference derivative estimate.
+
+    `step` must be a positive finite number (ValueError otherwise).
+    """
+    step = _positive_finite("step", step)
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
 def relative_error(got: float, want: float, floor: float = 1e-8) -> float:
-    """|got - want| scaled by max(|want|, floor)."""
+    """|got - want| scaled by max(|want|, floor).
+
+    `floor` must be a positive finite number (ValueError otherwise).
+    """
+    floor = _positive_finite("floor", floor)
     return abs(got - want) / max(abs(want), floor)

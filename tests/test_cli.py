@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import lpcore.cli as cli
 from lpcore import oracles
 from lpcore.dataio import parse_predictions, write_predictions
+from lpcore.feature_ops import CropSpec
 from lpcore.geometry import RotatedBox
 from lpcore.spotting import SpottingCounts, SpottingItem, SpottingRecord, aggregate
 
@@ -456,9 +457,26 @@ class TestBench:
         for samples, drew, value in calls:
             assert samples == 1_000_000 and drew and 0.0 < value <= 1.0
 
+    def test_dense_row_crops_the_selfcheck_ramp_at_64_per_side(self, monkeypatch):
+        calls = []
+        real = oracles.dense_rroi_align
+
+        def spy(fm, box, spec=CropSpec(), oversample=64):
+            calls.append((fm.data.shape, spec, oversample))
+            return real(fm, box, spec, oversample)
+
+        monkeypatch.setattr(oracles, "dense_rroi_align", spy)
+        rows = cli.cmd_bench([3], out=io.StringIO())
+        assert [row[:2] for row in rows if row[0] == "dense_rroi_align"] == [
+            ("dense_rroi_align", 3)
+        ]
+        assert calls == [((2, 40, 50), CropSpec(), 64)] * 3
+
     # (calls, numbers, fsum of numbers) of each row's argument tuples at size 3,
     # as the per-row timing loops that cmd_bench's one loop replaced passed
     # them (defaults filled in); the Monte-Carlo generator is checked apart.
+    # The dense_rroi_align row is the parent's selfcheck ramp with the first
+    # three boxes its dense-oracle suite draws.
     PARENT_INPUTS = {
         "rotated_iou": (3, 30, 39.49796766108733),
         "rotated_iou_matrix": (3, 61485, 7083701.659287163),
@@ -466,6 +484,7 @@ class TestBench:
         "rroi_align": (3, 614424, 2331.0501985036244),
         "ctc_loss": (3, 8304, -38303.99413733548),
         "monte_carlo_iou": (3, 33, 3000059.372419377),
+        "dense_rroi_align": (3, 12027, 705476.4965228833),
     }
 
     @staticmethod

@@ -25,7 +25,7 @@ from lpcore.geometry import (
     rotated_iou_matrix,
     rotated_nms,
 )
-from lpcore.oracles import monte_carlo_iou
+from lpcore.oracles import min_area_rect_sweep, monte_carlo_iou
 
 QUARTER_PI = math.pi / 4
 
@@ -176,6 +176,79 @@ class TestQuadToRbox:
             v = dy * c - dx * s
             assert abs(u) <= b.w / 2 + 1e-9
             assert abs(v) <= b.h / 2 + 1e-9
+
+
+def seeded_quads(n, seed):
+    """n convex and n concave simple quads, alternating: vertices near evenly
+    spaced angles on a circle (three of them and a point inside their
+    triangle for a concave one), stretched up to 3:1, turned, scaled and
+    moved; quads quad_to_rbox rejects are drawn again."""
+    rng = np.random.default_rng(seed)
+    quads = []
+    while len(quads) < 2 * n:
+        k = 3 if len(quads) % 2 else 4
+        spaced = np.arange(k) + rng.uniform(-0.3, 0.3, k)
+        ang = rng.uniform(0, 2 * math.pi) + 2 * math.pi / k * spaced
+        pts = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.7, 1.0, (k, 1))
+        if k == 3:
+            pts = np.vstack([pts, rng.dirichlet(np.ones(3)) @ pts])
+        pts[:, 0] *= rng.uniform(1.0, 3.0)
+        t = rng.uniform(-math.pi, math.pi)
+        turn = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        pts = pts @ turn.T * rng.uniform(1.0, 50.0) + rng.uniform(-100.0, 100.0, 2)
+        try:
+            quad = Quad(tuple(map(tuple, pts)))
+            quad_to_rbox(quad)
+        except DegenerateQuadError:
+            continue
+        quads.append(quad)
+    return quads
+
+
+class TestQuadToRboxAgainstSweep:
+    ANGLES = 20_000
+    # the swept area exceeds the minimum by at most about (w/h + h/w) times
+    # half the angle step (pi / 80000) relatively, under 2.5e-4 up to 6:1
+    BOUND = 2.5e-4
+
+    def test_minimum_area_and_enclosure_on_seeded_quads(self):
+        convex = 0
+        for quad in seeded_quads(40, seed=7):
+            b = quad_to_rbox(quad)
+            assert max(b.w / b.h, b.h / b.w) <= 6.0  # where BOUND holds
+            sweep = min_area_rect_sweep(quad, self.ANGLES)
+            assert sweep * (1 - self.BOUND) <= b.area <= sweep, quad
+            c, s = math.cos(b.theta), math.sin(b.theta)
+            slack = 1e-9 * max(b.w, b.h)
+            for x, y in quad.vertices:
+                dx, dy = x - b.cx, y - b.cy
+                assert abs(dx * c + dy * s) <= b.w / 2 + slack, quad
+                assert abs(dy * c - dx * s) <= b.h / 2 + slack, quad
+            convex += _convex(quad.vertices)
+        assert convex == 40
+
+    def test_sweep_of_a_turned_rectangle(self):
+        # a 4 x 2 rectangle: exact where an angle meets its own, above elsewhere
+        square_on = ((-2, -1), (2, -1), (2, 1), (-2, 1))
+        assert min_area_rect_sweep(Quad(square_on), 4) == 8.0
+        c, s = math.cos(0.3), math.sin(0.3)
+        turned = Quad(tuple((c * x - s * y, s * x + c * y) for x, y in square_on))
+        assert min_area_rect_sweep(turned, 4) > 8.0 * 1.1
+        assert 8.0 <= min_area_rect_sweep(turned, self.ANGLES) <= 8.0 * (1 + self.BOUND)
+
+    @pytest.mark.parametrize("angles", [0, -1, 2.5, True])
+    def test_rejects_non_positive_int_angles(self, angles):
+        with pytest.raises(ValueError, match=f"angles must be a positive int, got {angles!r}"):
+            min_area_rect_sweep(Quad(((0, 0), (1, 0), (1, 1), (0, 1))), angles)
+
+
+def _convex(vertices):
+    crosses = [
+        (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        for (ax, ay), (bx, by), (cx, cy) in zip(vertices, vertices[1:] + vertices[:1],
+                                                vertices[2:] + vertices[:2])
+    ]
+    return all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
 
 
 class TestRboxToQuad:

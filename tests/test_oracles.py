@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -7,32 +8,43 @@ import pytest
 
 from lpcore import oracles
 from lpcore.cli import iou_box_pairs
-from lpcore.feature_ops import CropSpec, FeatureMap
-from lpcore.geometry import RotatedBox
-from lpcore.oracles import _MC_CHUNK, dense_rroi_align, monte_carlo_iou
+from lpcore.ctc import ctc_loss
+from lpcore.errors import ShapeMismatchError
+from lpcore.feature_ops import CropSpec, FeatureMap, conv2d_forward
+from lpcore.geometry import RotatedBox, rotated_iou
+from lpcore.oracles import (
+    _MC_CHUNK,
+    central_difference,
+    conv2d_naive,
+    ctc_loss_brute_force,
+    dense_rroi_align,
+    monte_carlo_iou,
+    relative_error,
+)
 
 
 def whole_array_monte_carlo_iou(a, b, samples, rng):
-    """The oracle as it was before chunking: every step over whole draws."""
+    """The oracle without chunking: every step over whole draws, with samples
+    placed relative to the window's low corner."""
     ax0, ay0, ax1, ay1 = oracles._corner_bounds(a)
     bx0, by0, bx1, by1 = oracles._corner_bounds(b)
     lo_x, lo_y = max(ax0, bx0), max(ay0, by0)
-    hi_x, hi_y = min(ax1, bx1), min(ay1, by1)
-    if hi_x <= lo_x or hi_y <= lo_y:
+    span_x, span_y = min(ax1, bx1) - lo_x, min(ay1, by1) - lo_y
+    if span_x <= 0.0 or span_y <= 0.0:
         return 0.0
-    xs = rng.random(samples, dtype=np.float32) * np.float32(hi_x - lo_x) + np.float32(lo_x)
-    ys = rng.random(samples, dtype=np.float32) * np.float32(hi_y - lo_y) + np.float32(lo_y)
+    xs = rng.random(samples, dtype=np.float32) * np.float32(span_x)
+    ys = rng.random(samples, dtype=np.float32) * np.float32(span_y)
 
     def inside(box):
         c, s = math.cos(box.theta), math.sin(box.theta)
-        dx = xs - np.float32(box.cx)
-        dy = ys - np.float32(box.cy)
+        dx = xs - np.float32(box.cx - lo_x)
+        dy = ys - np.float32(box.cy - lo_y)
         u = dx * np.float32(c) + dy * np.float32(s)
         v = dy * np.float32(c) - dx * np.float32(s)
         return (np.abs(u) <= np.float32(box.w / 2)) & (np.abs(v) <= np.float32(box.h / 2))
 
     hits = int(np.count_nonzero(inside(a) & inside(b)))
-    inter = hits / samples * (hi_x - lo_x) * (hi_y - lo_y)
+    inter = hits / samples * span_x * span_y
     return inter / (a.area + b.area - inter)
 
 
@@ -142,6 +154,55 @@ class TestMonteCarloIou:
             monte_carlo_iou(*DISJOINT, samples, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("centre", [(1e6, -1e6), (-1e7, 3e7), (1e8, 1e8), (-1e9, 2e9)])
+    def test_far_from_origin_agrees_with_rotated_iou(self, centre):
+        # float32 world coordinates put these pairs off by up to 0.27
+        rng = np.random.default_rng(29)
+        for a, b in iou_box_pairs(3, seed=43):
+            a, b = (RotatedBox(box.cx + centre[0], box.cy + centre[1], box.w, box.h, box.theta)
+                    for box in (a, b))
+            assert abs(monte_carlo_iou(a, b, rng=rng) - rotated_iou(a, b)) < 5e-3, (a, b)
+
+    def test_issue_pair_same_estimate_at_every_centre(self):
+        want = None
+        for c in (0.0, 1e7, 1e8, 1e9, 1e12):
+            a, b = RotatedBox(c, 0.0, 4.0, 2.0, 0.3), RotatedBox(c + 0.5, 0.2, 3.0, 2.0, -0.1)
+            got = monte_carlo_iou(a, b, 200_000, np.random.default_rng(0))
+            want = got if want is None else want
+            assert abs(got - want) < 1e-4, c
+        assert abs(want - 0.5821) < 5e-3
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a side past half the float32 maximum
+            (RotatedBox(0.0, 0.0, 2e38, 1.0, 0.0), RotatedBox(0.0, 0.0, 1.0, 1.0, 0.1)),
+            # sides below the smallest normal float32
+            (RotatedBox(0.0, 0.0, 1e-39, 1e-39, 0.0), RotatedBox(0.0, 0.0, 1e-39, 1e-39, 0.2)),
+            # normal sides, but the hulls overlap by a subnormal sliver
+            (RotatedBox(0.0, 0.0, 2e-30, 2e-30, 0.0),
+             RotatedBox(2e-30 - 1e-39, 0.0, 2e-30, 2e-30, 0.0)),
+        ],
+    )
+    def test_rejects_sides_it_cannot_sample_in_float32(self, a, b):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        low, high = oracles.MC_SIDE_RANGE
+        limit = re.escape(f"sides must be in [{low:.9g}, {high:.9g}]")
+        with pytest.raises(ValueError, match=limit):
+            monte_carlo_iou(a, b, 1000, rng)
+        assert rng.bit_generator.state == before
+
+    def test_side_range_ends_are_sampled(self):
+        low, high = oracles.MC_SIDE_RANGE
+        assert low == np.finfo(np.float32).smallest_normal
+        assert high == float(np.finfo(np.float32).max) / 2
+        big = RotatedBox(0.0, 0.0, high, high / 2, 0.0)
+        assert abs(monte_carlo_iou(big, big, 10_000) - 1.0) < 1e-9
+        # hulls apart: IoU 0 needs no samples, whatever the sides
+        far = RotatedBox(1e120, 0.0, 1e100, 1e-100, 0.0)
+        assert monte_carlo_iou(big, far, 10_000) == 0.0
+
     def test_million_sample_call_peaks_below_12_mb(self):
         # the two float32 draws alone hold 8 MB; whole-array temporaries
         # pushed the peak past 30 MB
@@ -203,3 +264,62 @@ class TestDenseRroiAlign:
         # centres at x = 18, 20, 22 and y = 14, 16 on the map value 40y + x
         want = 40.0 * np.array([[14.0], [16.0]]) + np.array([[18.0, 20.0, 22.0]])
         assert np.array_equal(out.data, np.stack([want, want]))
+
+
+class TestOracleArguments:
+    FM = FeatureMap(np.arange(2 * 5 * 6, dtype=float).reshape(2, 5, 6))
+
+    @pytest.mark.parametrize(
+        "weights, stride, padding, error, message",
+        [
+            (np.ones((1, 2, 3, 3)), 0, 0, ValueError, "stride must be >= 1 and padding >= 0"),
+            (np.ones((1, 2, 3, 3)), 1, -1, ValueError, "stride must be >= 1 and padding >= 0"),
+            (np.ones((1, 3, 3, 3)), 1, 0, ShapeMismatchError, "expect 3 input channels, map has 2"),
+            (np.ones((1, 2, 6, 6)), 1, 0, ShapeMismatchError, "kernel 6 with stride 1, padding 0"),
+            (np.ones((1, 2, 3)), 1, 0, ShapeMismatchError, "weights must be (out_c, in_c, k, k)"),
+        ],
+    )
+    def test_conv2d_naive_rejects_as_conv2d_forward(self, weights, stride, padding, error, message):
+        for conv in (conv2d_naive, conv2d_forward):
+            with pytest.raises(error, match=re.escape(message)):
+                conv(self.FM, weights, None, stride, padding)
+        with pytest.raises(ShapeMismatchError, match=re.escape("bias must have shape (1,)")):
+            conv2d_naive(self.FM, np.ones((1, 2, 3, 3)), np.ones(2))
+
+    UNIFORM = np.log(np.full((3, 3), 1 / 3))
+
+    @pytest.mark.parametrize(
+        "logp, target, error, message",
+        [
+            (UNIFORM, [3], ValueError, "target classes must be in [1, 3)"),
+            (UNIFORM, [1, 0], ValueError, "target classes must be in [1, 3)"),
+            (UNIFORM, [1.0], ValueError, "target entries must be int"),
+            (UNIFORM[0], [1], ShapeMismatchError, "log-probs must be (T, K)"),
+            (np.zeros((0, 3)), [], ShapeMismatchError, "log-probs must be (T, K)"),
+            (np.full((2, 3), np.nan), [1], ValueError, "must not be NaN or +inf"),
+        ],
+    )
+    def test_ctc_brute_force_rejects_as_ctc_loss(self, logp, target, error, message):
+        for loss in (ctc_loss_brute_force, ctc_loss):
+            with pytest.raises(error, match=re.escape(message)):
+                loss(logp, target)
+
+    def test_ctc_brute_force_keeps_infeasible_as_inf_and_unnormalized_rows(self):
+        logp = np.log(np.full((2, 2), 0.5))
+        assert ctc_loss_brute_force(logp, [1, 1]) == math.inf
+        # all four 2-frame paths weigh e^0; three of them collapse to [1]
+        assert ctc_loss_brute_force(np.zeros((2, 2)), [np.int64(1)]) == -math.log(3.0)
+
+    @pytest.mark.parametrize("bad", [0, 0.0, -1e-5, math.nan, math.inf, True, "1e-5", None])
+    def test_step_and_floor_must_be_positive_finite(self, bad):
+        calls = []
+        got = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"step must be a positive finite number, got {got}"):
+            central_difference(lambda x: calls.append(x) or x, 1.0, step=bad)
+        assert calls == []
+        with pytest.raises(ValueError, match=f"floor must be a positive finite number, got {got}"):
+            relative_error(1.0, 0.0, floor=bad)
+
+    def test_positive_step_and_floor_accepted(self):
+        assert central_difference(lambda x: x * x, 3.0, step=np.float32(0.5)) == 6.0
+        assert relative_error(1.0, 0.0, floor=2) == 0.5
