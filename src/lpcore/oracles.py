@@ -39,11 +39,13 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
-def _corner_bounds(box: RotatedBox) -> tuple[float, float, float, float]:
+def _corner_bounds(box: RotatedBox, ox: float, oy: float) -> tuple[float, float, float, float]:
+    """The box's corner hull (x0, y0, x1, y1), relative to the point (ox, oy)."""
     c, s = math.cos(box.theta), math.sin(box.theta)
     ex = abs(c) * box.w / 2 + abs(s) * box.h / 2
     ey = abs(s) * box.w / 2 + abs(c) * box.h / 2
-    return box.cx - ex, box.cy - ey, box.cx + ex, box.cy + ey
+    cx, cy = box.cx - ox, box.cy - oy
+    return cx - ex, cy - ey, cx + ex, cy + ey
 
 
 def monte_carlo_iou(
@@ -56,10 +58,11 @@ def monte_carlo_iou(
 
     Rectangle areas are exact (w*h); only the intersection is counted, on
     the overlap of the two axis-aligned corner hulls. Disjoint hulls prove
-    IoU = 0 without sampling. Samples are placed relative to the window's
-    low corner, and each box centre is made relative to it in float64
-    before any float32 cast, so the estimate does not depend on how far
-    the pair is from the origin. Both coordinate draws are taken whole, x
+    IoU = 0 without sampling. The window is found in a's frame and the
+    samples are placed relative to its low corner; both box centres are
+    made relative to that corner in float64 before any float32 cast, so
+    the estimate does not depend on how far the pair is from the origin.
+    Both coordinate draws are taken whole, x
     first; hits are then counted in chunks of `_MC_CHUNK` over those same
     samples, each sample through the same float32 operations.
 
@@ -71,8 +74,8 @@ def monte_carlo_iou(
     samples = _positive_int("samples", samples)
     if rng is None:
         rng = np.random.default_rng(0)
-    ax0, ay0, ax1, ay1 = _corner_bounds(a)
-    bx0, by0, bx1, by1 = _corner_bounds(b)
+    ax0, ay0, ax1, ay1 = _corner_bounds(a, a.cx, a.cy)
+    bx0, by0, bx1, by1 = _corner_bounds(b, a.cx, a.cy)
     lo_x, lo_y = max(ax0, bx0), max(ay0, by0)
     span_x, span_y = min(ax1, bx1) - lo_x, min(ay1, by1) - lo_y
     if span_x <= 0.0 or span_y <= 0.0:
@@ -89,8 +92,8 @@ def monte_carlo_iou(
 
     def inside(box: RotatedBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         c, s = math.cos(box.theta), math.sin(box.theta)
-        dx = xs - np.float32(box.cx - lo_x)
-        dy = ys - np.float32(box.cy - lo_y)
+        dx = xs - np.float32((box.cx - a.cx) - lo_x)
+        dy = ys - np.float32((box.cy - a.cy) - lo_y)
         u = dx * np.float32(c) + dy * np.float32(s)
         v = dy * np.float32(c) - dx * np.float32(s)
         return (np.abs(u) <= np.float32(box.w / 2)) & (np.abs(v) <= np.float32(box.h / 2))

@@ -475,8 +475,8 @@ class TestBench:
     # (calls, numbers, fsum of numbers) of each row's argument tuples at size 3,
     # as the per-row timing loops that cmd_bench's one loop replaced passed
     # them (defaults filled in); the Monte-Carlo generator is checked apart.
-    # The dense_rroi_align row is the parent's selfcheck ramp with the first
-    # three boxes its dense-oracle suite draws.
+    # The dense_rroi_align row is the selfcheck's ramp with the first three
+    # boxes its dense-oracle suite draws.
     PARENT_INPUTS = {
         "rotated_iou": (3, 30, 39.49796766108733),
         "rotated_iou_matrix": (3, 61485, 7083701.659287163),

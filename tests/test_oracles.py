@@ -24,10 +24,10 @@ from lpcore.oracles import (
 
 
 def whole_array_monte_carlo_iou(a, b, samples, rng):
-    """The oracle without chunking: every step over whole draws, with samples
-    placed relative to the window's low corner."""
-    ax0, ay0, ax1, ay1 = oracles._corner_bounds(a)
-    bx0, by0, bx1, by1 = oracles._corner_bounds(b)
+    """The oracle without chunking: every step over whole draws, with the
+    window found in a's frame and samples placed relative to its low corner."""
+    ax0, ay0, ax1, ay1 = oracles._corner_bounds(a, a.cx, a.cy)
+    bx0, by0, bx1, by1 = oracles._corner_bounds(b, a.cx, a.cy)
     lo_x, lo_y = max(ax0, bx0), max(ay0, by0)
     span_x, span_y = min(ax1, bx1) - lo_x, min(ay1, by1) - lo_y
     if span_x <= 0.0 or span_y <= 0.0:
@@ -37,8 +37,8 @@ def whole_array_monte_carlo_iou(a, b, samples, rng):
 
     def inside(box):
         c, s = math.cos(box.theta), math.sin(box.theta)
-        dx = xs - np.float32(box.cx - lo_x)
-        dy = ys - np.float32(box.cy - lo_y)
+        dx = xs - np.float32((box.cx - a.cx) - lo_x)
+        dy = ys - np.float32((box.cy - a.cy) - lo_y)
         u = dx * np.float32(c) + dy * np.float32(s)
         v = dy * np.float32(c) - dx * np.float32(s)
         return (np.abs(u) <= np.float32(box.w / 2)) & (np.abs(v) <= np.float32(box.h / 2))
@@ -154,23 +154,30 @@ class TestMonteCarloIou:
             monte_carlo_iou(*DISJOINT, samples, rng)
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("centre", [(1e6, -1e6), (-1e7, 3e7), (1e8, 1e8), (-1e9, 2e9)])
+    @pytest.mark.parametrize(
+        "centre", [(1e6, -1e6), (-1e7, 3e7), (1e8, 1e8), (-1e9, 2e9), (1e30, -1e30)]
+    )
     def test_far_from_origin_agrees_with_rotated_iou(self, centre):
-        # float32 world coordinates put these pairs off by up to 0.27
+        # float32 world coordinates put these pairs off by up to 0.27; at 1e30
+        # the centres round together, and the corner hulls of absolute
+        # coordinates collapse to a point
         rng = np.random.default_rng(29)
         for a, b in iou_box_pairs(3, seed=43):
             a, b = (RotatedBox(box.cx + centre[0], box.cy + centre[1], box.w, box.h, box.theta)
                     for box in (a, b))
             assert abs(monte_carlo_iou(a, b, rng=rng) - rotated_iou(a, b)) < 5e-3, (a, b)
 
-    def test_issue_pair_same_estimate_at_every_centre(self):
+    def test_same_estimate_wherever_the_offset_is_exact(self):
+        # c + 0.5 is exact for every c here, so the pair in a's frame is the
+        # same floats and the estimate the same bits; sampled in float32
+        # world coordinates it read 0.5832 at 0, 0.4617 at 1e7, 0.7294 at 1e8
         want = None
-        for c in (0.0, 1e7, 1e8, 1e9, 1e12):
+        for c in (0.0, 1e7, 1e8, 1e9, 1e12, 1e15):
             a, b = RotatedBox(c, 0.0, 4.0, 2.0, 0.3), RotatedBox(c + 0.5, 0.2, 3.0, 2.0, -0.1)
             got = monte_carlo_iou(a, b, 200_000, np.random.default_rng(0))
             want = got if want is None else want
-            assert abs(got - want) < 1e-4, c
-        assert abs(want - 0.5821) < 5e-3
+            assert got == want, c
+        assert abs(want - rotated_iou(a, b)) < 5e-3
 
     @pytest.mark.parametrize(
         "a, b",
@@ -270,21 +277,22 @@ class TestOracleArguments:
     FM = FeatureMap(np.arange(2 * 5 * 6, dtype=float).reshape(2, 5, 6))
 
     @pytest.mark.parametrize(
-        "weights, stride, padding, error, message",
+        "weights, bias, stride, padding, error, message",
         [
-            (np.ones((1, 2, 3, 3)), 0, 0, ValueError, "stride must be >= 1 and padding >= 0"),
-            (np.ones((1, 2, 3, 3)), 1, -1, ValueError, "stride must be >= 1 and padding >= 0"),
-            (np.ones((1, 3, 3, 3)), 1, 0, ShapeMismatchError, "expect 3 input channels, map has 2"),
-            (np.ones((1, 2, 6, 6)), 1, 0, ShapeMismatchError, "kernel 6 with stride 1, padding 0"),
-            (np.ones((1, 2, 3)), 1, 0, ShapeMismatchError, "weights must be (out_c, in_c, k, k)"),
+            (np.ones((1, 2, 3, 3)), None, 0, 0, ValueError, "stride must be >= 1 and padding >= 0"),
+            (np.ones((1, 2, 3, 3)), None, 1, -1, ValueError, "stride must be >= 1 and padding >= 0"),
+            (np.ones((1, 3, 3, 3)), None, 1, 0, ShapeMismatchError, "expect 3 input channels"),
+            (np.ones((1, 2, 6, 6)), None, 1, 0, ShapeMismatchError, "kernel 6 with stride 1"),
+            (np.ones((1, 2, 3)), None, 1, 0, ShapeMismatchError, "weights must be (out_c, in_c"),
+            (np.ones((1, 2, 3, 3)), np.ones(2), 1, 0, ShapeMismatchError, "bias must have shape"),
         ],
     )
-    def test_conv2d_naive_rejects_as_conv2d_forward(self, weights, stride, padding, error, message):
+    def test_conv2d_naive_rejects_as_conv2d_forward(
+        self, weights, bias, stride, padding, error, message
+    ):
         for conv in (conv2d_naive, conv2d_forward):
             with pytest.raises(error, match=re.escape(message)):
-                conv(self.FM, weights, None, stride, padding)
-        with pytest.raises(ShapeMismatchError, match=re.escape("bias must have shape (1,)")):
-            conv2d_naive(self.FM, np.ones((1, 2, 3, 3)), np.ones(2))
+                conv(self.FM, weights, bias, stride, padding)
 
     UNIFORM = np.log(np.full((3, 3), 1 / 3))
 
