@@ -22,10 +22,12 @@ from .feature_ops import CropSpec, FeatureMap, _check_conv_args, _conv_out_dims
 from .geometry import Quad, RotatedBox
 
 DEFAULT_MC_SAMPLES = 1_000_000
-_F32 = np.finfo(np.float32)
 # box and window sides monte_carlo_iou can sample: normal float32 values, at
 # most half the float32 maximum so that u = dx*c + dy*s stays finite
-MC_SIDE_RANGE = (float(_F32.smallest_normal), float(_F32.max) / 2)
+MC_SIDE_RANGE = (
+    float(np.finfo(np.float32).smallest_normal),
+    float(np.finfo(np.float32).max) / 2,
+)
 # samples mapped and tested per slice: a slice's float32 temporaries stay in
 # cache, where whole-draw temporaries would stream 4 MB each through memory
 _MC_CHUNK = 16_384
@@ -62,9 +64,9 @@ def monte_carlo_iou(
     samples are placed relative to its low corner; both box centres are
     made relative to that corner in float64 before any float32 cast, so
     the estimate does not depend on how far the pair is from the origin.
-    Both coordinate draws are taken whole, x
-    first; hits are then counted in chunks of `_MC_CHUNK` over those same
-    samples, each sample through the same float32 operations.
+    Both coordinate draws are taken whole, x first; hits are then counted
+    in chunks of `_MC_CHUNK` over those same samples, each sample through
+    the same float32 operations.
 
     Raises ValueError when `samples` is not a positive int, and when a pair
     it has to sample has a box or window side outside `MC_SIDE_RANGE`,
