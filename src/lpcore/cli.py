@@ -20,7 +20,7 @@ from . import anchors, ctc, dataio, losses, oracles
 from .errors import ParseError
 from .feature_ops import CropSpec, FeatureMap, rroi_align
 from .geometry import RotatedBox, ScoredBox, rotated_iou, rotated_iou_matrix, rotated_nms
-from .spotting import SpottingCounts, _count_pairs, _match_columns, aggregate
+from .spotting import SpottingCounts, _count_pairs, _match_columns, aggregate, match_records
 
 REPORT_FORMAT = "lpcore-eval-report-v1"
 _NOISE_RANGE = f"[{-dataio.SYNTH_NOISE_MAX:g}, {dataio.SYNTH_NOISE_MAX:g}]"
@@ -385,6 +385,13 @@ def _build_ctc_loss(size: int):
     return ctc.ctc_loss, [(logp, target, False) for logp, target in zip(frames, targets)]
 
 
+def _build_match_records(size: int):
+    """size synth_fixture images of 1-3 plates at noise 0.3, matched in one call."""
+    rng = np.random.default_rng(25)
+    images = [dataio.synth_fixture(i, int(rng.integers(1, 4)), 0.3) for i in range(size)]
+    return match_records, [([gt for gt, _ in images], [pred for _, pred in images])]
+
+
 # (name, build): build(size) draws the row's seeded inputs and returns the
 # function to time and one positional-argument tuple per call. A builder
 # looks the function up when it runs, so a patched function is the one timed.
@@ -394,6 +401,7 @@ BENCH_OPS = (
     ("rotated_nms", _build_rotated_nms),
     ("rroi_align", _build_rroi_align),
     ("ctc_loss", _build_ctc_loss),
+    ("match_records", _build_match_records),
     ("monte_carlo_iou", _build_monte_carlo_iou),
     ("dense_rroi_align", _build_dense_rroi_align),
 )

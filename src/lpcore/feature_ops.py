@@ -77,8 +77,11 @@ def _bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
 
     The four corners of every point are read at once from the flattened
     map; a corner outside the map reads a clipped index with weight zero.
+    A map with no pixels reads zero everywhere.
     """
     c, h, w = data.shape
+    if h * w == 0:
+        return np.zeros((c, xs.size))
     x0 = np.floor(xs)
     y0 = np.floor(ys)
     fx = xs - x0
@@ -151,8 +154,14 @@ def _check_conv_args(
         raise ShapeMismatchError(
             f"weights expect {weights.shape[1]} input channels, map has {fm.channels}"
         )
-    if stride < 1 or padding < 0:
-        raise ValueError("stride must be >= 1 and padding >= 0")
+    ints = all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (stride, padding)
+    )
+    if not (ints and stride >= 1 and padding >= 0):
+        raise ValueError(
+            f"stride must be >= 1 and padding >= 0, each an int (not a bool); "
+            f"got stride={stride!r}, padding={padding!r}"
+        )
     if bias is None:
         bias = np.zeros(weights.shape[0])
     bias = np.asarray(bias, dtype=np.float64)
@@ -168,7 +177,13 @@ def conv2d_forward(
     stride: int = 1,
     padding: int = 0,
 ) -> FeatureMap:
-    """Cross-correlation with square kernel, zero padding."""
+    """Cross-correlation with square kernel, zero padding.
+
+    Weights that are not (out_c, fm.channels, k, k), a bias that is not
+    (out_c,), or a kernel that does not fit the padded map raise
+    ShapeMismatchError; a stride or padding that is not an int (a bool
+    included), a stride < 1 or a padding < 0 raises ValueError.
+    """
     weights, bias, k = _check_conv_args(fm, weights, bias, stride, padding)
     oh, ow = _conv_out_dims(fm.height, fm.width, k, stride, padding)
     padded = np.pad(fm.data, ((0, 0), (padding, padding), (padding, padding)))
@@ -190,6 +205,8 @@ def deformable_conv2d_forward(
     offsets holds 2*k*k channels over the output grid: channel 2t is the
     vertical shift dy and 2t+1 the horizontal shift dx for tap t = ki*k+kj.
     Each tap reads the input bilinearly at (base position + shift).
+    Arguments are checked as conv2d_forward checks them, and offsets that
+    do not fit the kernel and output grid raise ShapeMismatchError.
     """
     weights, bias, k = _check_conv_args(fm, weights, bias, stride, padding)
     oh, ow = _conv_out_dims(fm.height, fm.width, k, stride, padding)

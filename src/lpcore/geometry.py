@@ -332,9 +332,7 @@ def _iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(len(a))
     with np.errstate(all="ignore"):  # far-apart centres overflow; 0/0 where no edge crosses
-        dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-        dist2 = dx * dx + dy * dy
-        reach = 0.5 * (np.hypot(a[:, 2], a[:, 3]) + np.hypot(b[:, 2], b[:, 3]))
+        dist2, reach = _dist2_reach(a, b)
         near = dist2 <= (reach * _REACH_SLACK) ** 2
         # _iou's own circumcircle test, with math.hypot, for the close calls
         close = np.flatnonzero(near & (dist2 > (reach / _REACH_SLACK) ** 2))
@@ -347,6 +345,99 @@ def _iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             rows = live[start : start + _PAIR_CHUNK]
             out[rows] = _clip_iou(a[rows], b[rows])
     return out
+
+
+def _dist2_reach(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared centre distance and summed circumradii of each pair of rows."""
+    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    return dx * dx + dy * dy, 0.5 * (np.hypot(a[:, 2], a[:, 3]) + np.hypot(b[:, 2], b[:, 3]))
+
+
+# _iou_exceeds decides a pair without clipping when its IoU bounds clear the
+# threshold by _BOUND_MARGIN. Error budget: clipping errs by about aspect
+# ratio x 2^-52 in IoU, so about 1e-13 for boxes within _BOUND_ASPECT, and
+# the bounds, a few float operations on the same lengths, by as little; the
+# inscribed rectangle divides by cos 2δ (δ the angle between the boxes), which
+# multiplies its rounding by at most 1 / _MIN_COS_2D. Pairs past either guard
+# are clipped. (The widest gap seen between a bound and the clip is 4.4e-14.)
+_BOUND_MARGIN = 1e-9
+_BOUND_ASPECT = 1e3
+_MIN_COS_2D = 0.1
+
+
+def _iou_exceeds(a: np.ndarray, b: np.ndarray, thresh: float) -> np.ndarray:
+    """(K,) bool array equal to ``_iou_pairs(a, b) > thresh``, bit for bit.
+
+    A pair past the loose circumcircle test has IoU 0.0. Of the others,
+    those whose bounds from _iou_bounds lie clear of the threshold are
+    decided from them, and only the rest are clipped by _iou_pairs.
+    """
+    out = np.full(len(a), 0.0 > thresh)
+    with np.errstate(over="ignore"):  # far-apart centres: inf distance, a miss
+        dist2, reach = _dist2_reach(a, b)
+        live = np.flatnonzero(dist2 <= (reach * _REACH_SLACK) ** 2)
+    undecided = []
+    for start in range(0, len(live), _PAIR_CHUNK):
+        rows = live[start : start + _PAIR_CHUNK]
+        lo, hi = _iou_bounds(a[rows], b[rows])
+        hit = lo > thresh + _BOUND_MARGIN
+        out[rows] = hit
+        # NaN bounds (a guard failed) decide nothing
+        undecided.append(rows[~hit & ~(hi <= thresh - _BOUND_MARGIN)])
+    rows = np.concatenate(undecided) if undecided else live
+    out[rows] = _iou_pairs(a[rows], b[rows]) > thresh
+    return out
+
+
+def _iou_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the IoU of each pair of (K, 5) rows; NaN
+    for a pair past the aspect or angle guard.
+
+    In each box's frame the other box contains the rectangle aligned with
+    the frame and inscribed in it (exact at equal angles), and lies in its
+    extent along the frame's axes; the box's overlaps with these bound the
+    intersection from below and above.
+    """
+    pa, qa, pb, qb = a[:, 2] / 2.0, a[:, 3] / 2.0, b[:, 2] / 2.0, b[:, 3] / 2.0
+    ca, sa, cb, sb = np.cos(a[:, 4]), np.sin(a[:, 4]), np.cos(b[:, 4]), np.sin(b[:, 4])
+    delta = b[:, 4] - a[:, 4]
+    c, s = np.abs(np.cos(delta)), np.abs(np.sin(delta))
+    cos2d = c * c - s * s
+    # each centre in the other box's frame
+    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    ua, va = dx * ca + dy * sa, dy * ca - dx * sa
+    ub, vb = -(dx * cb + dy * sb), dx * sb - dy * cb
+    area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):  # cos 2δ = 0 is guarded
+        inner = np.maximum(
+            _frame_overlap(pa, qa, ua, va, (c * pb - s * qb) / cos2d, (c * qb - s * pb) / cos2d),
+            _frame_overlap(pb, qb, ub, vb, (c * pa - s * qa) / cos2d, (c * qa - s * pa) / cos2d),
+        )
+    outer = np.minimum(
+        np.minimum(area_a, area_b),
+        np.minimum(
+            _frame_overlap(pa, qa, ua, va, c * pb + s * qb, s * pb + c * qb),
+            _frame_overlap(pb, qb, ub, vb, c * pa + s * qa, s * pa + c * qa),
+        ),
+    )
+    ok = (
+        (np.maximum(pa, qa) <= _BOUND_ASPECT * np.minimum(pa, qa))
+        & (np.maximum(pb, qb) <= _BOUND_ASPECT * np.minimum(pb, qb))
+        & (np.abs(cos2d) >= _MIN_COS_2D)
+    )
+    both = area_a + area_b
+    return (
+        np.where(ok, inner / (both - inner), np.nan),
+        np.where(ok, outer / (both - outer), np.nan),
+    )
+
+
+def _frame_overlap(p, q, u, v, x, y):
+    """Area shared by the rectangle [-p, p] x [-q, q] and the one of
+    half-sides (x, y) centred at (u, v); zero where x or y is negative."""
+    over_x = np.minimum(p, u + x) - np.maximum(-p, u - x)
+    over_y = np.minimum(q, v + y) - np.maximum(-q, v - y)
+    return np.maximum(over_x, 0.0) * np.maximum(over_y, 0.0)
 
 
 def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

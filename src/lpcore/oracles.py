@@ -217,7 +217,8 @@ def conv2d_naive(
     The arguments are checked as `feature_ops.conv2d_forward` checks them:
     weights that are not (out_c, fm.channels, k, k), a bias that is not
     (out_c,), or a kernel that does not fit the padded map raise
-    ShapeMismatchError, and stride < 1 or padding < 0 ValueError.
+    ShapeMismatchError, and a stride or padding that is not an int (a bool
+    included), a stride < 1 or a padding < 0 ValueError.
     """
     weights, bias, k = _check_conv_args(fm, weights, bias, stride, padding)
     out_c, in_c = weights.shape[:2]

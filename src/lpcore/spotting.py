@@ -13,7 +13,7 @@ import numpy as np
 
 from .ctc import exact_match
 from .errors import ImageIdMismatchError
-from .geometry import RotatedBox, _box_array, _check_unit_threshold, _iou_pairs
+from .geometry import RotatedBox, _box_array, _check_unit_threshold, _iou_exceeds, _iou_pairs
 
 DEFAULT_IOU_THRESH = 0.6
 UNIDENTIFIABLE_CHAR = "*"
@@ -117,22 +117,26 @@ def _match_columns(
     g_count = np.bincount(g_img, minlength=len(images))
     p_count = np.bincount(p_img, minlength=len(images))
     # every prediction row with every ground-truth row of its image, both in
-    # row order, through one IoU kernel call
+    # row order, through one threshold kernel call
     reps = g_count[p_img]
     pair_pred = np.repeat(np.arange(len(pred_ids)), reps)
     within = np.arange(len(pair_pred)) - np.repeat(np.cumsum(reps) - reps, reps)
     g_first = np.cumsum(g_count) - g_count
     pair_gt = np.argsort(g_img, kind="stable")[np.repeat(g_first[p_img], reps) + within]
-    iou = _iou_pairs(pred_boxes[pair_pred], gt_boxes[pair_gt])
     # A prediction claims the first untaken ground truth of highest IoU, and
     # only if that IoU passes the threshold, so only such pairs can matter.
+    hit = np.flatnonzero(_iou_exceeds(pred_boxes[pair_pred], gt_boxes[pair_gt], iou_thresh))
+    hit_pred = pair_pred[hit]
+    # Only a prediction with two or more hits needs their IoUs, to rank
+    # them; a lone hit is claimed whatever its IoU, so 1.0 stands in.
+    iou = np.ones(len(hit))
+    ranked = np.flatnonzero(np.bincount(hit_pred, minlength=len(pred_ids))[hit_pred] > 1)
+    iou[ranked] = _iou_pairs(pred_boxes[hit_pred[ranked]], gt_boxes[pair_gt[hit[ranked]]])
     # Predictions go by image, then descending score, then row; lexsort is
     # stable, so each prediction's pairs stay in ground-truth row order.
-    hit = np.flatnonzero(iou > iou_thresh)
-    hit_pred = pair_pred[hit]
     neg_score = -np.asarray(scores, dtype=np.float64)[hit_pred]
     order = np.lexsort((hit_pred, neg_score, p_img[hit_pred]))
-    hit, hit_pred = hit[order], hit_pred[order]
+    hit, hit_pred, iou = hit[order], hit_pred[order], iou[order]
     # a prediction claims at its last candidate pair
     ends = np.append(hit_pred[1:] != hit_pred[:-1], True)
     tp_rows = []  # ground-truth rows claimed with the right text
@@ -140,7 +144,7 @@ def _match_columns(
     taken = set()
     best_j, best_iou = -1, 0.0
     for i, j, v, end in zip(
-        hit_pred.tolist(), pair_gt[hit].tolist(), iou[hit].tolist(), ends.tolist()
+        hit_pred.tolist(), pair_gt[hit].tolist(), iou.tolist(), ends.tolist()
     ):
         if v > best_iou and j not in taken:
             best_j, best_iou = j, v

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpcore.cli as cli
-from lpcore import oracles
+from lpcore import dataio, oracles, spotting
 from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.feature_ops import CropSpec
 from lpcore.geometry import RotatedBox
@@ -476,20 +476,23 @@ class TestBench:
     # as the per-row timing loops that cmd_bench's one loop replaced passed
     # them (defaults filled in); the Monte-Carlo generator is checked apart.
     # The dense_rroi_align row is the selfcheck's ramp with the first three
-    # boxes its dense-oracle suite draws.
+    # boxes its dense-oracle suite draws. The match_records row, which has no
+    # parent loop, pins its synth_fixture records' numbers; transcripts, ids
+    # and the missing ground-truth scores are not numbers and are skipped.
     PARENT_INPUTS = {
         "rotated_iou": (3, 30, 39.49796766108733),
         "rotated_iou_matrix": (3, 61485, 7083701.659287163),
         "rotated_nms": (1, 19, 51.15036878977573),
         "rroi_align": (3, 614424, 2331.0501985036244),
         "ctc_loss": (3, 8304, -38303.99413733548),
+        "match_records": (1, 66, 9760.504469127744),
         "monte_carlo_iou": (3, 33, 3000059.372419377),
         "dense_rroi_align": (3, 12027, 705476.4965228833),
     }
 
     @staticmethod
     def numbers(x):
-        if isinstance(x, np.random.Generator):
+        if x is None or isinstance(x, (np.random.Generator, str)):
             return
         if dataclasses.is_dataclass(x):
             for f in dataclasses.fields(x):
@@ -509,6 +512,14 @@ class TestBench:
         assert (len(calls), len(nums), math.fsum(nums)) == self.PARENT_INPUTS[name]
         for args in calls:
             inspect.signature(fn).bind(*args)  # every tuple fits its function
+
+    def test_match_records_row_is_one_call_over_synth_images(self):
+        fn, calls = dict(cli.BENCH_OPS)["match_records"](3)
+        assert fn is spotting.match_records and len(calls) == 1
+        gts, preds = calls[0]
+        for i, (gt, pred) in enumerate(zip(gts, preds)):
+            assert 1 <= len(gt.items) <= 3
+            assert (gt, pred) == dataio.synth_fixture(i, len(gt.items), 0.3)
 
     def test_monte_carlo_builder_shares_one_fresh_generator(self):
         _, calls = dict(cli.BENCH_OPS)["monte_carlo_iou"](3)

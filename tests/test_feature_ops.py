@@ -215,6 +215,16 @@ class TestRroiAlign:
         out = rroi_align(fm, RotatedBox(100, 100, 4, 4, 0.3), CropSpec(2, 2, 2))
         assert np.all(out.data == 0.0)
 
+    @pytest.mark.parametrize("shape", [(2, 0, 5), (2, 4, 0), (3, 0, 0)])
+    def test_map_without_pixels_crops_as_the_dense_oracle(self, shape):
+        fm = FeatureMap(np.zeros(shape))
+        spec = CropSpec(3, 4, 2)
+        for box in (RotatedBox(1.0, 0.5, 3.0, 2.0, 0.3), RotatedBox(0.0, 0.0, 2.0, 1.0, 0.0)):
+            want = dense_rroi_align(fm, box, spec, 4).data
+            assert want.shape == (shape[0], 3, 4)
+            assert np.array_equal(rroi_align(fm, box, spec).data, want)
+        assert np.array_equal(roi_align(fm, box, spec).data, want)
+
 
 class TestConv2d:
     def test_one_by_one_identity(self):
@@ -257,6 +267,38 @@ class TestConv2d:
             conv2d_forward(fm, np.zeros((1, 2, 7, 7)))  # kernel larger than map
         with pytest.raises(ShapeMismatchError):
             conv2d_forward(fm, np.zeros((1, 2, 3, 3)), bias=np.zeros(2))
+
+
+class TestStrideAndPadding:
+    FM = FeatureMap(np.arange(2 * 6 * 7, dtype=float).reshape(2, 6, 7))
+    W = np.ones((1, 2, 3, 3))
+
+    def convolutions(self, stride, padding, out_hw=(4, 5)):
+        """conv2d_forward, deformable_conv2d_forward (zero offsets over an
+        out_hw grid) and conv2d_naive on FM and W, as calls to make."""
+        offsets = FeatureMap(np.zeros((18, *out_hw)))
+        return [
+            lambda: conv2d_forward(self.FM, self.W, None, stride, padding),
+            lambda: deformable_conv2d_forward(self.FM, self.W, None, offsets, stride, padding),
+            lambda: conv2d_naive(self.FM, self.W, None, stride, padding),
+        ]
+
+    @pytest.mark.parametrize(
+        "stride, padding",
+        [(1.5, 0), (1, 0.5), (2.0, 1), (1, 1.0), (True, 0), (1, False), (np.True_, 0),
+         (np.float64(2.0), 0), ("2", 0), (None, 0)],
+    )
+    def test_non_int_or_bool_rejected(self, stride, padding):
+        for call in self.convolutions(stride, padding):
+            with pytest.raises(ValueError, match=r"each an int \(not a bool\)"):
+                call()
+
+    @pytest.mark.parametrize("stride, padding, out_hw", [(1, 0, (4, 5)), (2, 1, (3, 4))])
+    def test_numpy_ints_accepted(self, stride, padding, out_hw):
+        want = self.convolutions(stride, padding, out_hw)
+        got = self.convolutions(np.int64(stride), np.int32(padding), out_hw)
+        for g, w in zip(got, want):
+            assert np.array_equal(g().data, w().data)
 
 
 class TestDeformableConv2d:

@@ -13,10 +13,13 @@ from lpcore.geometry import (
     Quad,
     RotatedBox,
     ScoredBox,
+    _BOUND_MARGIN,
     _PAIR_CHUNK,
     _checked_box_array,
     _clip_polygon,
     _iou,
+    _iou_bounds,
+    _iou_exceeds,
     _iou_pairs,
     _shoelace,
     quad_to_rbox,
@@ -739,6 +742,128 @@ class TestIouPairs:
         b[::3, 0] += 100.0
         got = assert_pairs_are_scalar(a, b)
         assert np.count_nonzero(got) == len(a) - len(a[::3])
+
+
+def decision_pairs():
+    """(a, b) canonical rows over the accepted side range with centres out to
+    1e6: b is a's box turned by 0, a tiny angle, an angle near +-pi/4 or
+    +-pi/2 or any angle, resized by up to 10x a side and moved by up to a's
+    sides; aspect ratios reach 1e15, far past the bounds' guard."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    near = [st.floats(t - 1e-3, t + 1e-3, **finite) for t in (-2, -1, 1, 2)]
+    turn = st.one_of(
+        st.sampled_from([0.0, 1e-15, -1e-9]),
+        *(x.map(lambda k: k * QUARTER_PI) for x in near),
+        st.floats(-2 * QUARTER_PI, 2 * QUARTER_PI, **finite),
+    )
+    unit = st.floats(-1.0, 1.0, **finite)
+    pair = st.tuples(
+        st.floats(-1e6, 1e6, **finite),  # a's centre
+        st.floats(-1e6, 1e6, **finite),
+        st.floats(-130.0, 130.0, **finite),  # log10 of a's width
+        st.floats(-15.0, 15.0, **finite),  # log10 of a's h / w
+        st.floats(-QUARTER_PI, QUARTER_PI, **finite),
+        turn,
+        unit, unit,  # log10 of b's side factors
+        unit, unit,  # b's offset in a's sides
+    )
+
+    def build(pairs):
+        rows_a, rows_b = [], []
+        for cx, cy, log_w, log_aspect, theta, turn, fw, fh, ox, oy in pairs:
+            w = 10.0**log_w
+            h = w * 10.0**log_aspect
+            rows_a.append([cx, cy, w, h, theta])
+            rows_b.append([cx + ox * w, cy + oy * h, w * 10.0**fw, h * 10.0**fh, theta + turn])
+        return (_checked_box_array(np.array(rows), "rows") for rows in (rows_a, rows_b))
+
+    return st.lists(pair, min_size=1, max_size=4).map(build)
+
+
+def assert_exceeds_is_clipping(a, b, thresholds=()):
+    """_iou_exceeds(a, b, t) == (_iou_pairs(a, b) > t), either way round, at
+    0, 1, the given thresholds, and each pair's clipped IoU moved by 0, one
+    ulp and half, one and two margins either way."""
+    clip = _iou_pairs(a, b)
+    ts = {0.0, 1.0, *thresholds}
+    for v in clip.tolist():
+        ts |= {math.nextafter(v, -math.inf), math.nextafter(v, math.inf)}
+        for d in (0.0, _BOUND_MARGIN / 2, _BOUND_MARGIN, 2 * _BOUND_MARGIN):
+            ts |= {v - d, v + d}
+    for t in ts:
+        for x, y in ((a, b), (b, a)):
+            got = _iou_exceeds(x, y, t)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, clip > t)
+
+
+def plate_pairs(rng, n, jitter):
+    """n plates and shifted, resized copies of them turned by up to jitter."""
+    w = rng.uniform(80.0, 160.0, n)
+    a = np.column_stack(
+        [rng.uniform(0, 600, (n, 2)), w, w / rng.uniform(2.5, 3.5, n), rng.uniform(-0.3, 0.3, n)]
+    )
+    b = a.copy()
+    b[:, :2] += rng.normal(0.0, 0.15, (n, 2)) * a[:, 2:4]
+    b[:, 2:4] *= rng.uniform(0.85, 1.15, (n, 2))
+    b[:, 4] += rng.uniform(-jitter, jitter, n)
+    return a, _checked_box_array(b, "b")
+
+
+class TestIouExceeds:
+    @settings(max_examples=40, deadline=None)
+    @given(decision_pairs())
+    def test_equals_clipping_on_drawn_pairs(self, rows):
+        assert_exceeds_is_clipping(*rows)
+
+    def test_equals_clipping_on_edge_cases(self):
+        assert_exceeds_is_clipping(*edge_case_pairs(), thresholds=(-1e-300, -1.0, 2.0))
+
+    def test_equals_clipping_on_plate_pairs(self):
+        rng = np.random.default_rng(61)
+        for jitter in (0.0, 0.03, 1.0):
+            assert_exceeds_is_clipping(*plate_pairs(rng, 15, jitter))
+
+    @pytest.mark.parametrize("k", [_PAIR_CHUNK - 1, _PAIR_CHUNK, 2 * _PAIR_CHUNK + 1])
+    def test_chunk_boundaries(self, k):
+        # decided, clipped and far pairs interleaved across the chunks
+        a, b = plate_pairs(np.random.default_rng(k), k, 0.8)
+        b[::5, 0] += 1e4
+        clip = _iou_pairs(a, b)
+        for t in (0.0, 0.3, 0.6):
+            np.testing.assert_array_equal(_iou_exceeds(a, b, t), clip > t)
+
+    def test_bounds_bracket_the_clip_and_meet_at_equal_angles(self):
+        a, b = plate_pairs(np.random.default_rng(67), 2000, 0.0)
+        lo, hi = _iou_bounds(a, b)
+        clip = _iou_pairs(a, b)
+        assert np.count_nonzero(clip) > 1500
+        assert np.all(lo <= clip + 1e-12) and np.all(clip <= hi + 1e-12)
+        assert np.abs(hi - lo).max() < 1e-12
+        a, b = plate_pairs(np.random.default_rng(71), 2000, 0.03)
+        lo, hi = _iou_bounds(a, b)
+        clip = _iou_pairs(a, b)
+        assert np.all(lo <= clip + 1e-12) and np.all(clip <= hi + 1e-12)
+        assert np.count_nonzero((lo > 0.6 + _BOUND_MARGIN) | (hi <= 0.6 - _BOUND_MARGIN)) > 1700
+
+    def test_clipping_decides_past_the_aspect_guard(self):
+        # nested boxes of exact IoU 0.5, which clipping reads as 0.49221 at
+        # this aspect ratio, where the corners lose the short side: the
+        # answer is the clip's
+        a = np.array([[0.0, 0.0, 1.0, 1e14, 0.3]])
+        b = np.array([[0.0, 0.0, 0.5, 1e14, 0.3]])
+        assert 0.49 < _iou_pairs(a, b)[0] < 0.495
+        assert not _iou_exceeds(a, b, 0.495)[0] and _iou_exceeds(a, b, 0.49)[0]
+
+    def test_guards_leave_pairs_undecided(self):
+        a = np.array([[0.0, 0.0, 4.0, 2.0, 0.0]] * 3)
+        b = a.copy()
+        b[0, 4] = 0.76  # cos 2δ below the guard
+        b[1, 2] = 4e4  # aspect past the guard
+        b[2, 4] = 0.3
+        lo, hi = _iou_bounds(a, b)
+        assert np.isnan(lo[:2]).all() and np.isnan(hi[:2]).all()
+        assert 0.0 <= lo[2] <= hi[2] <= 1.0
 
 
 def unprepared_corners(cx, cy, w, h, theta, ox, oy):

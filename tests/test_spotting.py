@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcore import cli
+from lpcore import cli, geometry, spotting
 from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.errors import ImageIdMismatchError
 from lpcore.geometry import RotatedBox, rotated_iou
@@ -328,6 +328,50 @@ def random_images(rng, n_images):
     return gts, preds
 
 
+def crowded_images(rng, n_images, jitter):
+    """Images of 2-4 plates that are shifted copies of one plate, turned by
+    up to jitter, and predictions near them: most predictions pass the
+    threshold with two or more plates, so their IoUs must be ranked."""
+    texts = ["京A11111", "京A11112", "沪B*2345"]
+    gts, preds = [], []
+    for k in range(n_images):
+        w = rng.uniform(3.0, 6.0)
+        h, theta = w / 3.0, rng.uniform(-0.6, 0.6)
+        c, s = np.cos(theta), np.sin(theta)
+
+        def box(f, t):
+            return RotatedBox(f * w * c, f * w * s, w, h, theta + t)
+
+        plates = [
+            SpottingItem(box(rng.uniform(-0.15, 0.15), rng.uniform(-jitter, jitter)),
+                         texts[int(rng.integers(3))])
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        guesses = [
+            SpottingItem(box(rng.uniform(-0.1, 0.1), rng.uniform(-jitter, jitter)),
+                         texts[int(rng.integers(3))], [0.5, 0.9, None][int(rng.integers(3))])
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        gts.append(SpottingRecord(f"img{k:04d}", tuple(plates)))
+        preds.append(SpottingRecord(f"img{k:04d}", tuple(guesses)))
+    return gts, preds
+
+
+def clipped_rows(monkeypatch):
+    """Row counts of every _iou_pairs call the matcher makes, as a list
+    that fills while the patch is on."""
+    rows = []
+    real = geometry._iou_pairs
+
+    def spy(a, b):
+        rows.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(geometry, "_iou_pairs", spy)
+    monkeypatch.setattr(spotting, "_iou_pairs", spy)
+    return rows
+
+
 class TestColumnMatcherEquivalence:
     @pytest.mark.parametrize("ignore", [False, True])
     @pytest.mark.parametrize("thresh", [0.0, 0.3, 0.6, 1.0])
@@ -347,6 +391,47 @@ class TestColumnMatcherEquivalence:
         assert gt_by_id.keys() != pred_by_id.keys()
         if thresh < 1.0:
             assert sum(c.tp for _, c in want) > 20
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.03])
+    @pytest.mark.parametrize("thresh", [0.3, 0.6])
+    def test_equals_per_image_loop_when_hits_are_ranked(self, monkeypatch, thresh, jitter):
+        gts, preds = crowded_images(np.random.default_rng(int(thresh * 10) + 7), 150, jitter)
+        rows = clipped_rows(monkeypatch)
+        got = match_records(gts, preds, thresh, False)
+        want = [
+            (g.image_id, reference_match_image(g, p, thresh, False)) for g, p in zip(gts, preds)
+        ]
+        assert got == want
+        # the ranking call clips every hit of the predictions with two or more
+        ranked = 0
+        for g, p in zip(gts, preds):
+            hits = [sum(rotated_iou(q.box, t.box) > thresh for t in g.items) for q in p.items]
+            ranked += sum(n for n in hits if n > 1)
+        assert ranked > 150 and rows[-1] == ranked
+
+    def test_one_hit_per_prediction_at_equal_angles_clips_nothing(self, monkeypatch):
+        # plates far apart; each prediction is its plate shifted along its
+        # own width by a fraction f, for an exact IoU of (1 - f) / (1 + f)
+        rng = np.random.default_rng(11)
+        gts, preds = [], []
+        for k in range(200):
+            plates, guesses = [], []
+            for j in range(int(rng.integers(1, 4))):
+                w, theta = rng.uniform(80.0, 160.0), rng.uniform(-0.3, 0.3)
+                cx, cy = 1000.0 * j, rng.uniform(0.0, 500.0)
+                plates.append(SpottingItem(RotatedBox(cx, cy, w, w / 3.0, theta), "京A11111"))
+                for f in rng.uniform(0.0, 0.5, int(rng.integers(0, 3))):
+                    box = RotatedBox(cx + f * w * np.cos(theta), cy + f * w * np.sin(theta),
+                                     w, w / 3.0, theta)
+                    guesses.append(SpottingItem(box, "京A11111", float(rng.uniform(0, 1))))
+            gts.append(SpottingRecord(f"img{k:03d}", tuple(plates)))
+            preds.append(SpottingRecord(f"img{k:03d}", tuple(guesses)))
+        rows = clipped_rows(monkeypatch)
+        got = match_records(gts, preds)
+        assert sum(rows) == 0
+        want = [(g.image_id, reference_match_image(g, p)) for g, p in zip(gts, preds)]
+        assert got == want
+        assert 100 < sum(c.tp for _, c in got) < sum(len(p.items) for p in preds)
 
     def test_evaluate_equals_per_image_loop(self, tmp_path):
         gts, preds = random_images(np.random.default_rng(5), 300)
