@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleTargetError, ShapeMismatchError
+from .geometry import _is_int
 
 BLANK_INDEX = 0
 
@@ -92,7 +93,7 @@ def _check_log_probs(logp: np.ndarray, validate: bool) -> np.ndarray:
 
 def _extended_target(target: Sequence[int], num_classes: int) -> np.ndarray:
     lab = list(target)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in lab):
+    if not all(map(_is_int, lab)):
         raise ValueError(f"target entries must be int or numpy integers, got {lab}")
     if lab and (min(lab) < 1 or max(lab) >= num_classes):
         raise ValueError(f"target classes must be in [1, {num_classes}), got {lab}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .geometry import RotatedBox, ScoredBox
+from .geometry import RotatedBox, ScoredBox, _is_int
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,17 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class CropSpec:
-    """Region-crop output geometry; defaults suit one-line plate text."""
+    """Region-crop output geometry; defaults suit one-line plate text.
+
+    A field that is not a positive int (a bool is not one) raises ValueError."""
 
     out_h: int = 8
     out_w: int = 25
     sampling_ratio: int = 2
 
     def __post_init__(self):
-        if self.out_h <= 0 or self.out_w <= 0 or self.sampling_ratio <= 0:
-            raise ValueError("CropSpec fields must be positive")
+        if not all(_is_int(v) and v > 0 for v in (self.out_h, self.out_w, self.sampling_ratio)):
+            raise ValueError(f"CropSpec fields must be positive ints (not bools), got {self!r}")
 
 
 def training_crop_boxes(
@@ -154,10 +156,7 @@ def _check_conv_args(
         raise ShapeMismatchError(
             f"weights expect {weights.shape[1]} input channels, map has {fm.channels}"
         )
-    ints = all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (stride, padding)
-    )
-    if not (ints and stride >= 1 and padding >= 0):
+    if not (_is_int(stride) and _is_int(padding) and stride >= 1 and padding >= 0):
         raise ValueError(
             f"stride must be >= 1 and padding >= 0, each an int (not a bool); "
             f"got stride={stride!r}, padding={padding!r}"

@@ -74,6 +74,11 @@ def _real_as_float(v) -> float:
         return math.inf
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_unit_threshold(value, name: str) -> None:
     """ValueError unless value is a real number (not a bool) in [0, 1]."""
     if isinstance(value, bool) or not 0.0 <= _real_as_float(value) <= 1.0:
@@ -393,39 +398,30 @@ def _iou_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on the IoU of each pair of (K, 5) rows; NaN
     for a pair past the aspect or angle guard.
 
-    In each box's frame the other box contains the rectangle aligned with
-    the frame and inscribed in it (exact at equal angles), and lies in its
-    extent along the frame's axes; the box's overlaps with these bound the
-    intersection from below and above.
+    The bounds are taken in a's frame: b contains the rectangle aligned with
+    a and inscribed in b (exact at equal angles), and lies in its extent
+    along a's axes; a's overlaps with these bound the intersection from
+    below and above. An overlap with a is at most a's area, bit for bit, so
+    only b's area caps the upper bound.
     """
     pa, qa, pb, qb = a[:, 2] / 2.0, a[:, 3] / 2.0, b[:, 2] / 2.0, b[:, 3] / 2.0
-    ca, sa, cb, sb = np.cos(a[:, 4]), np.sin(a[:, 4]), np.cos(b[:, 4]), np.sin(b[:, 4])
+    ca, sa = np.cos(a[:, 4]), np.sin(a[:, 4])
     delta = b[:, 4] - a[:, 4]
     c, s = np.abs(np.cos(delta)), np.abs(np.sin(delta))
     cos2d = c * c - s * s
-    # each centre in the other box's frame
+    # b's centre in a's frame
     dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    ua, va = dx * ca + dy * sa, dy * ca - dx * sa
-    ub, vb = -(dx * cb + dy * sb), dx * sb - dy * cb
-    area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+    u, v = dx * ca + dy * sa, dy * ca - dx * sa
+    area_b = b[:, 2] * b[:, 3]
     with np.errstate(divide="ignore", invalid="ignore"):  # cos 2δ = 0 is guarded
-        inner = np.maximum(
-            _frame_overlap(pa, qa, ua, va, (c * pb - s * qb) / cos2d, (c * qb - s * pb) / cos2d),
-            _frame_overlap(pb, qb, ub, vb, (c * pa - s * qa) / cos2d, (c * qa - s * pa) / cos2d),
-        )
-    outer = np.minimum(
-        np.minimum(area_a, area_b),
-        np.minimum(
-            _frame_overlap(pa, qa, ua, va, c * pb + s * qb, s * pb + c * qb),
-            _frame_overlap(pb, qb, ub, vb, c * pa + s * qa, s * pa + c * qa),
-        ),
-    )
+        inner = _frame_overlap(pa, qa, u, v, (c * pb - s * qb) / cos2d, (c * qb - s * pb) / cos2d)
+    outer = np.minimum(area_b, _frame_overlap(pa, qa, u, v, c * pb + s * qb, s * pb + c * qb))
     ok = (
         (np.maximum(pa, qa) <= _BOUND_ASPECT * np.minimum(pa, qa))
         & (np.maximum(pb, qb) <= _BOUND_ASPECT * np.minimum(pb, qb))
         & (np.abs(cos2d) >= _MIN_COS_2D)
     )
-    both = area_a + area_b
+    both = a[:, 2] * a[:, 3] + area_b
     return (
         np.where(ok, inner / (both - inner), np.nan),
         np.where(ok, outer / (both - outer), np.nan),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ctc import _check_log_probs, _extended_target
 from .feature_ops import CropSpec, FeatureMap, _check_conv_args, _conv_out_dims
-from .geometry import Quad, RotatedBox
+from .geometry import Quad, RotatedBox, _is_int
 
 DEFAULT_MC_SAMPLES = 1_000_000
 # box and window sides monte_carlo_iou can sample: normal float32 values, at
@@ -36,7 +36,7 @@ _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _positive_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive int, got {value!r}")
     return int(value)
 

@@ -116,13 +116,16 @@ def _match_columns(
     p_img = np.fromiter(map(code.__getitem__, pred_ids), np.intp, len(pred_ids))
     g_count = np.bincount(g_img, minlength=len(images))
     p_count = np.bincount(p_img, minlength=len(images))
-    # every prediction row with every ground-truth row of its image, both in
-    # row order, through one threshold kernel call
-    reps = g_count[p_img]
-    pair_pred = np.repeat(np.arange(len(pred_ids)), reps)
+    # Predictions claim by image, then descending score, then row (lexsort
+    # is stable). Each is paired with every ground-truth row of its image,
+    # in row order, so the pairs reach the threshold kernel in claim order.
+    order = np.lexsort((-np.asarray(scores, dtype=np.float64), p_img))
+    claim_img = p_img[order]
+    reps = g_count[claim_img]
+    pair_pred = np.repeat(order, reps)
     within = np.arange(len(pair_pred)) - np.repeat(np.cumsum(reps) - reps, reps)
     g_first = np.cumsum(g_count) - g_count
-    pair_gt = np.argsort(g_img, kind="stable")[np.repeat(g_first[p_img], reps) + within]
+    pair_gt = np.argsort(g_img, kind="stable")[np.repeat(g_first[claim_img], reps) + within]
     # A prediction claims the first untaken ground truth of highest IoU, and
     # only if that IoU passes the threshold, so only such pairs can matter.
     hit = np.flatnonzero(_iou_exceeds(pred_boxes[pair_pred], gt_boxes[pair_gt], iou_thresh))
@@ -132,11 +135,6 @@ def _match_columns(
     iou = np.ones(len(hit))
     ranked = np.flatnonzero(np.bincount(hit_pred, minlength=len(pred_ids))[hit_pred] > 1)
     iou[ranked] = _iou_pairs(pred_boxes[hit_pred[ranked]], gt_boxes[pair_gt[hit[ranked]]])
-    # Predictions go by image, then descending score, then row; lexsort is
-    # stable, so each prediction's pairs stay in ground-truth row order.
-    neg_score = -np.asarray(scores, dtype=np.float64)[hit_pred]
-    order = np.lexsort((hit_pred, neg_score, p_img[hit_pred]))
-    hit, hit_pred, iou = hit[order], hit_pred[order], iou[order]
     # a prediction claims at its last candidate pair
     ends = np.append(hit_pred[1:] != hit_pred[:-1], True)
     tp_rows = []  # ground-truth rows claimed with the right text

@@ -118,6 +118,17 @@ class TestGenerateAnchors:
         with pytest.raises(ValueError):
             generate_anchors(2, 2, 8, -1.0, 8.0)
 
+    @pytest.mark.parametrize(
+        "sizes", [(2.5, 2), (2, 1.5), (2.0, 2), (np.float64(2.0), 2), (True, 2), (2, np.True_)]
+    )
+    def test_rejects_non_int_or_bool_grid_sizes(self, sizes):
+        with pytest.raises(ValueError, match="grid sizes must be positive ints"):
+            generate_anchors(*sizes)
+
+    def test_numpy_int_grid_sizes_accepted(self):
+        grid = generate_anchors(np.int64(3), np.int32(2), 8, 16.0, 8.0)
+        assert np.array_equal(grid.boxes, generate_anchors(3, 2, 8, 16.0, 8.0).boxes)
+
     def test_grid_count_invariant(self):
         for shape in ((1, 1), (3, 5), (7, 2)):
             assert generate_anchors(*shape).boxes.shape == (shape[0] * shape[1], 5)

@@ -179,6 +179,19 @@ class TestRroiAlign:
         out = rroi_align(fm, RotatedBox(20, 15, 12, 5, 0.2))
         assert out.data.shape == (2, 8, 25)
 
+    @pytest.mark.parametrize("field", ["out_h", "out_w", "sampling_ratio"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 1.5, 2.0, np.float64(2.0), True, np.True_, "2", None, 0]
+    )
+    def test_spec_rejects_non_int_or_bool_fields(self, field, value):
+        with pytest.raises(ValueError, match=r"CropSpec fields must be positive ints"):
+            CropSpec(**{field: value})
+
+    def test_spec_accepts_numpy_ints(self):
+        fm, box = ramp_map(), RotatedBox(20, 15, 12, 5, 0.2)
+        got = rroi_align(fm, box, CropSpec(np.int64(3), np.int32(4), np.int64(2)))
+        assert np.array_equal(got.data, rroi_align(fm, box, CropSpec(3, 4, 2)).data)
+
     def test_rotated_matches_dense_oracle(self):
         fm = ramp_map()
         rng = np.random.default_rng(3)

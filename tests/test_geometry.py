@@ -17,6 +17,7 @@ from lpcore.geometry import (
     _PAIR_CHUNK,
     _checked_box_array,
     _clip_polygon,
+    _frame_overlap,
     _iou,
     _iou_bounds,
     _iou_exceeds,
@@ -845,6 +846,22 @@ class TestIouExceeds:
         clip = _iou_pairs(a, b)
         assert np.all(lo <= clip + 1e-12) and np.all(clip <= hi + 1e-12)
         assert np.count_nonzero((lo > 0.6 + _BOUND_MARGIN) | (hi <= 0.6 - _BOUND_MARGIN)) > 1700
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(MIN_SIDE, MAX_SIDE),
+        st.floats(MIN_SIDE, MAX_SIDE),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False),
+    )
+    def test_upper_bound_overlap_never_exceeds_the_first_box_area(self, w, h, u, v, x, y):
+        # _iou_bounds caps its upper bound by b's area only: a's overlap with
+        # any rectangle, placed and sized anywhere, is at most a's area
+        with np.errstate(over="ignore"):
+            got = _frame_overlap(*(np.array([t]) for t in (w / 2.0, h / 2.0, u, v, x, y)))
+        assert 0.0 <= got[0] <= w * h
 
     def test_clipping_decides_past_the_aspect_guard(self):
         # nested boxes of exact IoU 0.5, which clipping reads as 0.49221 at
