@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import MAX_SIDE, MIN_SIDE, RotatedBox, _box_array, _checked_box_array, _iou_matrix
-from .geometry import _is_int
+from .geometry import _is_int, _real_as_float
 
 # Conventional single-stage defaults; the P3 stride with a wide 3:1 base
 # matches plate geometry. All are overridable call arguments.
@@ -67,8 +67,9 @@ class AnchorGrid:
     (cx, cy, w, h, theta) rows in row-major cell order, built from the five
     parameters: cell (i, j) gets an anchor at ((j+.5)s, (i+.5)s). ``anchors``
     is the same grid as RotatedBox objects, built on first use. A grid size
-    that is not a positive int (a bool is not one), a parameter <= 0 or one
-    that builds a non-finite or out-of-range row raises ValueError.
+    that is not a positive int, a stride or base side that is not a positive
+    finite real number (a bool, str or None is neither), or parameters that
+    build a non-finite or out-of-range row raise ValueError.
     """
 
     stride: int
@@ -82,8 +83,9 @@ class AnchorGrid:
         grid_h, grid_w, stride = self.grid_h, self.grid_w, self.stride
         if not (_is_int(grid_h) and _is_int(grid_w) and grid_h > 0 and grid_w > 0):
             raise ValueError(f"grid sizes must be positive ints, got {grid_h!r} x {grid_w!r}")
-        if stride <= 0 or self.base_w <= 0 or self.base_h <= 0:
-            raise ValueError("all anchor-grid parameters must be positive")
+        sizes = (stride, self.base_w, self.base_h)
+        if any(isinstance(v, bool) or not 0.0 < _real_as_float(v) < math.inf for v in sizes):
+            raise ValueError(f"stride, base_w and base_h must be positive finite reals: {sizes}")
         # the row check below rejects a centre that overflows to inf
         with np.errstate(over="ignore"):
             ys = (np.arange(grid_h) + 0.5) * stride

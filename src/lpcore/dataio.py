@@ -133,7 +133,8 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
     """
     ids, scores, has_score, boxes, texts = _read_records(path, ground_truth)
     grouped: dict[str, list[SpottingItem]] = {}
-    for image_id, score, has, row, text in zip(ids, scores, has_score, boxes.tolist(), texts):
+    rows = zip(ids, scores.tolist(), has_score, boxes.tolist(), texts)
+    for image_id, score, has, row, text in rows:
         item = SpottingItem(RotatedBox(*row), text, score if has else None)
         grouped.setdefault(image_id, []).append(item)
     return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
@@ -148,10 +149,11 @@ def _read_records(path, ground_truth: bool):
     """A record file as columns, one row per plate in file order.
 
     Returns (image ids, scores, has-score mask, boxes, transcripts): lists,
-    except boxes, an (N, 5) float64 array of canonical RotatedBox fields. A
-    missing score reads 0.0. Lines are only split here; the numbers are
-    parsed and checked in bulk, and on any failure the file is checked again
-    line by line, so the ParseError is the first bad line's.
+    except scores, an (N,) float64 array, and boxes, an (N, 5) float64 array
+    of canonical RotatedBox fields. A missing score reads 0.0. Lines are
+    only split here; the numbers are parsed and checked in bulk, and on any
+    failure the file is checked again line by line, so the ParseError is the
+    first bad line's.
     """
     ids, score_fields, texts, numbers = [], [], [], [np.zeros((5, 0))]
     try:
@@ -182,7 +184,7 @@ def _read_records(path, ground_truth: bool):
         or not ((scores >= 0.0) & (scores <= 1.0)).all()
     ):
         _raise_first_bad_record(path, ground_truth)
-    return ids, scores.tolist(), has_score, boxes, texts
+    return ids, scores, has_score, boxes, texts
 
 
 def _raise_first_bad_record(path, ground_truth: bool):

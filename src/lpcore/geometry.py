@@ -238,11 +238,12 @@ def rbox_to_quad(b: RotatedBox) -> Quad:
 
 def _prepare(cx: float, cy: float, w: float, h: float, theta: float) -> tuple:
     """Box (cx, cy, w, h, theta) with what clipping it needs worked out once:
-    the five fields, its diagonal ``hypot(w, h)`` and the half-side products
-    ``(hw*cos, hw*sin, hh*cos, hh*sin)`` of its corners."""
+    the five fields, its diagonal ``sqrt(w*w + h*h)`` as _iou's circumcircle
+    test takes it and the half-side products ``(hw*cos, hw*sin, hh*cos, hh*sin)``
+    of its corners."""
     c, s = math.cos(theta), math.sin(theta)
     hw, hh = w / 2.0, h / 2.0
-    return (cx, cy, w, h, theta, math.hypot(w, h), hw * c, hw * s, hh * c, hh * s)
+    return (cx, cy, w, h, theta, math.sqrt(w * w + h * h), hw * c, hw * s, hh * c, hh * s)
 
 
 def _corner_points(x: float, y: float, p: tuple) -> list[Point]:
@@ -288,8 +289,10 @@ def _clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
 def rotated_iou(a: RotatedBox, b: RotatedBox) -> float:
     """Exact intersection-over-union via convex polygon clipping.
 
-    Disjoint circumcircles give exactly 0.0. Clipping runs relative to one
-    box's centre, so precision does not depend on the distance from the origin.
+    Disjoint circumcircles give exactly 0.0: a pair whose centres lie
+    farther apart than half the sum of the diagonals ``sqrt(w*w + h*h)`` is
+    not clipped. Clipping runs relative to one box's centre, so precision
+    does not depend on the distance from the origin.
     """
     return _iou(a.cx, a.cy, a.w, a.h, a.theta, b.cx, b.cy, b.w, b.h, b.theta)
 
@@ -297,7 +300,7 @@ def rotated_iou(a: RotatedBox, b: RotatedBox) -> float:
 def _iou(ax, ay, aw, ah, at, bx, by, bw, bh, bt) -> float:
     """rotated_iou of two boxes given as canonical (cx, cy, w, h, theta) floats."""
     dx, dy = bx - ax, by - ay
-    reach = 0.5 * (math.hypot(aw, ah) + math.hypot(bw, bh))
+    reach = 0.5 * (math.sqrt(aw * aw + ah * ah) + math.sqrt(bw * bw + bh * bh))
     if dx * dx + dy * dy > reach * reach:
         return 0.0
     return _overlap(_prepare(ax, ay, aw, ah, at), _prepare(bx, by, bw, bh, bt))
@@ -318,44 +321,40 @@ def _overlap(a: tuple, b: tuple) -> float:
     return min(inter / union, 1.0)
 
 
-# The vectorised circumcircle tests keep each pair whose centre distance is
-# within this factor of the summed circumradii: np.hypot and math.hypot may
-# differ in the last bit, and no test may drop a pair _iou would clip.
-_REACH_SLACK = 1.0 + 1e-9
 # _iou_pairs clips at most this many pairs at a time, which bounds its scratch
 # arrays and the Python floats its math calls make
 _PAIR_CHUNK = 2048
+
+
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_iou's circumcircle test on broadcast (..., 5) rows: True where it clips.
+
+    IEEE multiply, add and sqrt are correctly rounded, so ``np.sqrt`` here
+    gives the bits of ``math.sqrt`` there; MIN_SIDE and MAX_SIDE keep each
+    ``w*w`` a finite normal float.
+    """
+    with np.errstate(over="ignore"):  # far-apart centres: inf distance, a miss
+        dx, dy = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+        diag_a = np.sqrt(a[..., 2] * a[..., 2] + a[..., 3] * a[..., 3])
+        diag_b = np.sqrt(b[..., 2] * b[..., 2] + b[..., 3] * b[..., 3])
+        reach = 0.5 * (diag_a + diag_b)
+        return dx * dx + dy * dy <= reach * reach
 
 
 def _iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(K,) array of ``_iou(*a[k], *b[k])`` for two (K, 5) canonical arrays.
 
     Every entry has exactly the bits of ``_iou``: the same float operations
-    run in the same order, for all pairs at once, and ``hypot``, ``cos`` and
-    ``sin`` come from ``math`` wherever they decide a bit, as numpy's may
-    differ from them in the last one.
+    run in the same order, for all pairs at once, and ``cos`` and ``sin``
+    come from ``math``, as numpy's may differ from them in the last bit.
     """
     out = np.zeros(len(a))
-    with np.errstate(all="ignore"):  # far-apart centres overflow; 0/0 where no edge crosses
-        dist2, reach = _dist2_reach(a, b)
-        near = dist2 <= (reach * _REACH_SLACK) ** 2
-        # _iou's own circumcircle test, with math.hypot, for the close calls
-        close = np.flatnonzero(near & (dist2 > (reach / _REACH_SLACK) ** 2))
-        hypot_a = list(map(math.hypot, a[close, 2].tolist(), a[close, 3].tolist()))
-        hypot_b = list(map(math.hypot, b[close, 2].tolist(), b[close, 3].tolist()))
-        reach = 0.5 * (np.array(hypot_a, dtype=np.float64) + np.array(hypot_b, dtype=np.float64))
-        near[close] = dist2[close] <= reach * reach
-        live = np.flatnonzero(near)
+    live = np.flatnonzero(_near(a, b))
+    with np.errstate(all="ignore"):  # 0/0 where no edge crosses
         for start in range(0, len(live), _PAIR_CHUNK):
             rows = live[start : start + _PAIR_CHUNK]
             out[rows] = _clip_iou(a[rows], b[rows])
     return out
-
-
-def _dist2_reach(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared centre distance and summed circumradii of each pair of rows."""
-    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    return dx * dx + dy * dy, 0.5 * (np.hypot(a[:, 2], a[:, 3]) + np.hypot(b[:, 2], b[:, 3]))
 
 
 # _iou_exceeds decides a pair without clipping when its IoU bounds clear the
@@ -373,14 +372,12 @@ _MIN_COS_2D = 0.1
 def _iou_exceeds(a: np.ndarray, b: np.ndarray, thresh: float) -> np.ndarray:
     """(K,) bool array equal to ``_iou_pairs(a, b) > thresh``, bit for bit.
 
-    A pair past the loose circumcircle test has IoU 0.0. Of the others,
-    those whose bounds from _iou_bounds lie clear of the threshold are
-    decided from them, and only the rest are clipped by _iou_pairs.
+    A pair that fails the circumcircle test of _near has IoU 0.0. Of the
+    others, those whose bounds from _iou_bounds lie clear of the threshold
+    are decided from them, and only the rest are clipped by _iou_pairs.
     """
     out = np.full(len(a), 0.0 > thresh)
-    with np.errstate(over="ignore"):  # far-apart centres: inf distance, a miss
-        dist2, reach = _dist2_reach(a, b)
-        live = np.flatnonzero(dist2 <= (reach * _REACH_SLACK) ** 2)
+    live = np.flatnonzero(_near(a, b))
     undecided = []
     for start in range(0, len(live), _PAIR_CHUNK):
         rows = live[start : start + _PAIR_CHUNK]
@@ -545,23 +542,18 @@ def rotated_iou_matrix(a, b) -> np.ndarray:
     """(N, M) matrix of ``rotated_iou`` between the rows of two box arrays.
 
     ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta),
-    each row valid as RotatedBox fields. One vectorised circumcircle test, a
-    hair looser than rotated_iou's early-out, zeroes the disjoint pairs; the
-    other pairs go, canonical rows and all, through one call of the batched
-    kernel ``_iou_pairs``, so each entry has exactly the bits of
-    ``rotated_iou`` on the rows' boxes.
+    each row valid as RotatedBox fields. rotated_iou's circumcircle test,
+    vectorised bit for bit, zeroes the disjoint pairs; the other pairs go,
+    canonical rows and all, through one call of the batched kernel
+    ``_iou_pairs``, so each entry has exactly the bits of ``rotated_iou`` on
+    the rows' boxes.
     """
     return _iou_matrix(_checked_box_array(a, "a"), _checked_box_array(b, "b"))
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rotated_iou_matrix of checked, canonical arrays."""
-    with np.errstate(over="ignore"):  # centres far apart: inf distance, a zero
-        dx = b[:, 0] - a[:, 0, None]
-        dy = b[:, 1] - a[:, 1, None]
-        reach = 0.5 * np.hypot(a[:, 2], a[:, 3])[:, None] + 0.5 * np.hypot(b[:, 2], b[:, 3])
-        reach *= _REACH_SLACK
-        rows, cols = np.nonzero(dx * dx + dy * dy <= reach * reach)
+    rows, cols = np.nonzero(_near(a[:, None], b[None]))
     out = np.zeros((len(a), len(b)))
     out[rows, cols] = _iou_pairs(a[rows], b[cols])
     return out

@@ -89,7 +89,7 @@ def _columns(records: list[SpottingRecord]):
     items = [(r.image_id, item) for r in records for item in r.items]
     return (
         [image_id for image_id, _ in items],
-        [item.score or 0.0 for _, item in items],
+        np.array([item.score or 0.0 for _, item in items], dtype=np.float64),
         [item.score is not None for _, item in items],
         _box_array([item.box for _, item in items]),
         [item.transcript for _, item in items],
@@ -119,7 +119,7 @@ def _match_columns(
     # Predictions claim by image, then descending score, then row (lexsort
     # is stable). Each is paired with every ground-truth row of its image,
     # in row order, so the pairs reach the threshold kernel in claim order.
-    order = np.lexsort((-np.asarray(scores, dtype=np.float64), p_img))
+    order = np.lexsort((-scores, p_img))
     claim_img = p_img[order]
     reps = g_count[claim_img]
     pair_pred = np.repeat(order, reps)

@@ -129,6 +129,30 @@ class TestGenerateAnchors:
         grid = generate_anchors(np.int64(3), np.int32(2), 8, 16.0, 8.0)
         assert np.array_equal(grid.boxes, generate_anchors(3, 2, 8, 16.0, 8.0).boxes)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (True, 16.0, 8.0),
+            (np.True_, 16.0, 8.0),
+            ("8", 16.0, 8.0),
+            (None, 16.0, 8.0),
+            (8, True, 8.0),
+            (8, None, 8.0),
+            (8, "16", 8.0),
+            (8, 16.0, np.False_),
+            (8, 16.0, None),
+            (10**400, 16.0, 8.0),
+            (8, 10**400, 8.0),
+        ],
+    )
+    def test_rejects_bool_non_real_or_huge_int_stride_and_base_sides(self, params):
+        with pytest.raises(ValueError, match="stride, base_w and base_h must be positive"):
+            generate_anchors(2, 2, *params)
+
+    def test_real_stride_and_base_sides_accepted(self):
+        grid = generate_anchors(1, 2, np.float32(8.5), np.int64(16), 7.5)
+        assert grid.boxes.tolist() == [[4.25, 4.25, 16.0, 7.5, 0.0], [12.75, 4.25, 16.0, 7.5, 0.0]]
+
     def test_grid_count_invariant(self):
         for shape in ((1, 1), (3, 5), (7, 2)):
             assert generate_anchors(*shape).boxes.shape == (shape[0] * shape[1], 5)

@@ -473,7 +473,7 @@ def record_columns(path, ground_truth):
     for image_id in ids:
         first.setdefault(image_id, len(first))
     order = sorted(range(len(ids)), key=lambda k: first[ids[k]])
-    columns = (ids, scores, has_score, boxes.tolist(), texts)
+    columns = (ids, scores.tolist(), has_score, boxes.tolist(), texts)
     return repr(tuple([column[k] for k in order] for column in columns))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpcore import geometry
 from lpcore.cli import iou_box_pairs
 from lpcore.errors import DegenerateQuadError
 from lpcore.geometry import (
@@ -22,6 +23,9 @@ from lpcore.geometry import (
     _iou_bounds,
     _iou_exceeds,
     _iou_pairs,
+    _near,
+    _overlap,
+    _prepare,
     _shoelace,
     quad_to_rbox,
     rbox_to_quad,
@@ -881,6 +885,63 @@ class TestIouExceeds:
         lo, hi = _iou_bounds(a, b)
         assert np.isnan(lo[:2]).all() and np.isnan(hi[:2]).all()
         assert 0.0 <= lo[2] <= hi[2] <= 1.0
+
+
+def tangent_pairs(seed, n):
+    """n pairs of canonical rows, sides 1e-3..1e3, each pair's centre distance
+    its summed circumradii times (1 + k 2^-52) for k in -3..3: circumcircles
+    that touch, where rounding decides the test. The first centres lie in
+    [-1, 1]^2, so the second centres keep that distance to a few ulps."""
+    rng = np.random.default_rng(seed)
+    sides = 10.0 ** rng.uniform(-3.0, 3.0, (2, n, 2))
+    reach = 0.5 * (np.hypot(*sides[0].T) + np.hypot(*sides[1].T))
+    dist = reach * (1.0 + rng.integers(-3, 4, n) * 2.0**-52)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    a = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), sides[0], rng.uniform(-4.0, 4.0, n)])
+    b = np.column_stack(
+        [a[:, 0] + dist * np.cos(phi), a[:, 1] + dist * np.sin(phi), sides[1], -a[:, 4]]
+    )
+    return _checked_box_array(a, "a"), _checked_box_array(b, "b")
+
+
+class TestTangentPairs:
+    def test_near_is_the_scalar_test_bit_for_bit(self, monkeypatch):
+        a, b = tangent_pairs(0, 20_000)
+        # a pair that passes _iou's circumcircle test reaches _overlap
+        monkeypatch.setattr(geometry, "_overlap", lambda p, q: 2.0)
+        rows_a, rows_b = a.tolist(), b.tolist()
+        scalar = np.array([_iou(*x, *y) == 2.0 for x, y in zip(rows_a, rows_b)])
+        monkeypatch.undo()
+        np.testing.assert_array_equal(_near(a, b), scalar)
+        np.testing.assert_array_equal(_near(b, a), scalar)
+        assert 0 < scalar.sum() < len(scalar)
+        # the same test with math.hypot diagonals decides some of these pairs
+        # the other way; each of them clips to exactly 0.0, what it returns
+        def hypot_near(ax, ay, aw, ah, _, bx, by, bw, bh, __):
+            reach = 0.5 * (math.hypot(aw, ah) + math.hypot(bw, bh))
+            return (bx - ax) * (bx - ax) + (by - ay) * (by - ay) <= reach * reach
+
+        by_hypot = np.array([hypot_near(*x, *y) for x, y in zip(rows_a, rows_b)])
+        flipped = np.flatnonzero(by_hypot != scalar).tolist()
+        assert len(flipped) > 50, len(flipped)
+        assert all(_overlap(_prepare(*rows_a[k]), _prepare(*rows_b[k])) == 0.0 for k in flipped)
+
+    def test_batched_kernels_are_scalar_rotated_iou(self):
+        a, b = tangent_pairs(1, 3000)
+        # overlapping plates too, so some entries are not zero
+        pa, pb = plate_pairs(np.random.default_rng(2), 200, 0.3)
+        a, b = np.concatenate([a, pa]), np.concatenate([b, pb])
+        boxes_a = [RotatedBox(*r) for r in a.tolist()]
+        boxes_b = [RotatedBox(*r) for r in b.tolist()]
+        want = np.array([rotated_iou(x, y) for x, y in zip(boxes_a, boxes_b)])
+        assert (want > 0.0).sum() >= 150
+        np.testing.assert_array_equal(bits(_iou_pairs(a, b)), bits(want))
+        for t in (0.0, 0.3, 0.6, 1.0):
+            np.testing.assert_array_equal(_iou_exceeds(a, b, t), want > t)
+        m = slice(0, 3200, 20)
+        got = rotated_iou_matrix(a[m], b[m])
+        want = [[rotated_iou(x, y) for y in boxes_b[m]] for x in boxes_a[m]]
+        np.testing.assert_array_equal(bits(got), bits(want))
 
 
 def unprepared_corners(cx, cy, w, h, theta, ox, oy):
