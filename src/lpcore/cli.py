@@ -360,6 +360,37 @@ def _build_rotated_nms(size: int):
     return rotated_nms, [(boxes, 0.5)]
 
 
+def _plate_candidates(rng: np.random.Generator, plates: int) -> list[ScoredBox]:
+    """200-400 scored boxes shaped like a detector's output on a 512-pixel
+    image: 80% jittered around `plates` plates, the rest scattered at lower
+    scores."""
+    m = int(rng.integers(200, 401))
+    near, far = round(0.8 * m), m - round(0.8 * m)
+    w = rng.uniform(40.0, 120.0, plates)
+    cx, cy = rng.uniform(70.0, 442.0, (2, plates))
+    h, theta = w / rng.uniform(2.5, 4.0, plates), rng.uniform(-0.35, 0.35, plates)
+    g = rng.integers(plates, size=near)
+    j = rng.normal(size=(5, near))
+    clustered = np.column_stack(
+        [cx[g] + 0.15 * w[g] * j[0], cy[g] + 0.15 * h[g] * j[1],
+         w[g] * np.exp(0.1 * j[2]), h[g] * np.exp(0.1 * j[3]), theta[g] + 0.05 * j[4]]
+    )
+    fw = rng.uniform(20.0, 100.0, far)
+    scattered = np.column_stack(
+        [rng.uniform(0.0, 512.0, (far, 2)), fw, fw / rng.uniform(2.0, 5.0, far),
+         rng.uniform(-0.7, 0.7, far)]
+    )
+    rows = np.concatenate([clustered, scattered]).tolist()
+    scores = np.concatenate([rng.uniform(0.3, 1.0, near), rng.uniform(0.0, 0.6, far)]).tolist()
+    return [ScoredBox(RotatedBox(*rows[i]), scores[i]) for i in rng.permutation(m).tolist()]
+
+
+def _build_rotated_nms_plates(size: int):
+    """size candidate sets shaped like det_step's (1-3 plates in turn), one NMS call each."""
+    rng = np.random.default_rng(27)
+    return rotated_nms, [(_plate_candidates(rng, 1 + k % 3), 0.5) for k in range(size)]
+
+
 def _build_rroi_align(size: int):
     rng = np.random.default_rng(9)
     fm = FeatureMap(rng.normal(size=(32, 80, 80)))
@@ -399,6 +430,7 @@ BENCH_OPS = (
     ("rotated_iou", _build_rotated_iou),
     ("rotated_iou_matrix", _build_rotated_iou_matrix),
     ("rotated_nms", _build_rotated_nms),
+    ("rotated_nms_plates", _build_rotated_nms_plates),
     ("rroi_align", _build_rroi_align),
     ("ctc_loss", _build_ctc_loss),
     ("match_records", _build_match_records),

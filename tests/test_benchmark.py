@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,20 @@ def test_benchmark_selftest_passes_and_cleans_up():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "selftest: ok", proc.stdout
     assert set(work.glob("selftest-*")) == before
+
+
+def test_det_step_runs_end_to_end_and_checks_clean():
+    """One short det_step run exits 0 with every step's output checked and
+    none failed; its NMS check holds the greedy definition on real steps."""
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", "det_step", "--seed", "3",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["attempted"] > 0, result

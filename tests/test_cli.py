@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpcore.cli as cli
-from lpcore import dataio, oracles, spotting
+from lpcore import dataio, geometry, oracles, spotting
 from lpcore.dataio import parse_predictions, write_predictions
 from lpcore.feature_ops import CropSpec
 from lpcore.geometry import RotatedBox
@@ -479,10 +479,12 @@ class TestBench:
     # boxes its dense-oracle suite draws. The match_records row, which has no
     # parent loop, pins its synth_fixture records' numbers; transcripts, ids
     # and the missing ground-truth scores are not numbers and are skipped.
+    # The rotated_nms_plates row, also new, pins its candidate sets' numbers.
     PARENT_INPUTS = {
         "rotated_iou": (3, 30, 39.49796766108733),
         "rotated_iou_matrix": (3, 61485, 7083701.659287163),
         "rotated_nms": (1, 19, 51.15036878977573),
+        "rotated_nms_plates": (3, 4803, 533603.7967809882),
         "rroi_align": (3, 614424, 2331.0501985036244),
         "ctc_loss": (3, 8304, -38303.99413733548),
         "match_records": (1, 66, 9760.504469127744),
@@ -520,6 +522,15 @@ class TestBench:
         for i, (gt, pred) in enumerate(zip(gts, preds)):
             assert 1 <= len(gt.items) <= 3
             assert (gt, pred) == dataio.synth_fixture(i, len(gt.items), 0.3)
+
+    def test_rotated_nms_plates_row_is_one_call_per_plate_shaped_set(self):
+        fn, calls = dict(cli.BENCH_OPS)["rotated_nms_plates"](6)
+        assert fn is geometry.rotated_nms and len(calls) == 6
+        for boxes, thresh in calls:
+            assert 200 <= len(boxes) <= 400 and thresh == 0.5
+            # the clustered 80% score at least 0.3, the scattered rest below 0.6
+            assert sum(c.score >= 0.3 for c in boxes) >= round(0.8 * len(boxes))
+            assert all(0.0 <= c.box.cx <= 512.0 and 0.0 <= c.box.cy <= 512.0 for c in boxes)
 
     def test_monte_carlo_builder_shares_one_fresh_generator(self):
         _, calls = dict(cli.BENCH_OPS)["monte_carlo_iou"](3)

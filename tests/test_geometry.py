@@ -14,8 +14,10 @@ from lpcore.geometry import (
     Quad,
     RotatedBox,
     ScoredBox,
+    _BOUND_ASPECT,
     _BOUND_MARGIN,
     _PAIR_CHUNK,
+    _SCALAR_PAIRS,
     _checked_box_array,
     _clip_polygon,
     _frame_overlap,
@@ -749,6 +751,44 @@ class TestIouPairs:
         assert np.count_nonzero(got) == len(a) - len(a[::3])
 
 
+class TestIouPairsDispatch:
+    @pytest.mark.parametrize("k", [_SCALAR_PAIRS - 1, _SCALAR_PAIRS, _SCALAR_PAIRS + 1])
+    def test_either_side_of_the_cut_is_rotated_iou(self, monkeypatch, k):
+        rng = np.random.default_rng(83 + k)
+        a = seeded_rows(rng, k, 2.0)
+        b = seeded_rows(rng, k, 2.0)
+        b[::4, 0] += 50.0  # early-out pairs among the clipped ones
+        batched = []
+        clip_iou = geometry._clip_iou
+
+        def spy(x, y):
+            batched.append(len(x))
+            return clip_iou(x, y)
+
+        monkeypatch.setattr(geometry, "_clip_iou", spy)
+        got = _iou_pairs(a, b)
+        rows = zip(a.tolist(), b.tolist())
+        want = [rotated_iou(RotatedBox(*x), RotatedBox(*y)) for x, y in rows]
+        assert got.shape == (k,) and got.dtype == np.float64
+        np.testing.assert_array_equal(bits(got), bits(want))
+        assert 0 < np.count_nonzero(got) < k
+        assert bool(batched) == (k >= _SCALAR_PAIRS)
+
+    def test_batched_kernel_on_edge_cases_below_the_cut(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_SCALAR_PAIRS", 0)
+        a, b = edge_case_pairs()
+        assert len(a) < _SCALAR_PAIRS
+        for k in (0, 1, 2, len(a)):
+            assert_pairs_are_scalar(a[:k], b[:k])
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_rows())
+    def test_batched_kernel_on_drawn_pairs_below_the_cut(self, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_SCALAR_PAIRS", 0)
+            assert_pairs_are_scalar(*rows)
+
+
 def decision_pairs():
     """(a, b) canonical rows over the accepted side range with centres out to
     1e6: b is a's box turned by 0, a tiny angle, an angle near +-pi/4 or
@@ -1075,6 +1115,120 @@ class TestPreparedBoxes:
             np.testing.assert_array_equal(bits(rbox_to_quad(b).vertices), bits(want.vertices))
             valid += 1
         assert valid > len(boxes) // 2
+
+
+def kept_order_nms(boxes, thresh):
+    """Greedy NMS clipping each candidate against the kept boxes past the
+    circumcircle test in kept order, until one exceeds the threshold, as
+    rotated_nms did before it tried the nearest kept box first."""
+    order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
+    kept, prepared = [], []
+    for i in order:
+        b = boxes[i].box
+        a = _prepare(b.cx, b.cy, b.w, b.h, b.theta)
+        for k in prepared:
+            dx, dy = k[0] - a[0], k[1] - a[1]
+            reach = 0.5 * (a[5] + k[5])
+            if dx * dx + dy * dy <= reach * reach and geometry._overlap(a, k) > thresh:
+                break
+        else:
+            kept.append(boxes[i])
+            prepared.append(a)
+    return kept
+
+
+def count_clips(monkeypatch):
+    """Make geometry._overlap count its calls into the returned one-item list."""
+    clips = [0]
+    overlap = geometry._overlap
+
+    def counting(a, b):
+        clips[0] += 1
+        return overlap(a, b)
+
+    monkeypatch.setattr(geometry, "_overlap", counting)
+    return clips
+
+
+class TestNmsNearestFirstAndAreaCap:
+    def test_clips_at_most_065_of_the_kept_order_loop_on_plate_sets(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        sets = [
+            plate_like_candidates(rng, int(rng.integers(200, 401)), 1 + k % 3) for k in range(40)
+        ]
+        clips = count_clips(monkeypatch)
+        got = [[id(k) for k in rotated_nms(boxes, 0.5)] for boxes in sets]
+        nearest_first, clips[0] = clips[0], 0
+        want = [[id(k) for k in kept_order_nms(boxes, 0.5)] for boxes in sets]
+        assert got == want
+        assert nearest_first <= 0.65 * clips[0], (nearest_first, clips[0])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("big_first", [True, False])
+    @pytest.mark.parametrize("thresh", [0.25, 0.5])
+    def test_nested_pairs_at_the_area_ratio_cap(self, monkeypatch, thresh, big_first, theta):
+        # a box nested in an 8 x 4 one at the same angle has IoU = area ratio
+        big = RotatedBox(3.0, -1.0, 8.0, 4.0, theta)
+        scores = (0.9, 0.8) if big_first else (0.8, 0.9)
+        clips = count_clips(monkeypatch)
+        for ratio, want_clips in (
+            (thresh - 2 * _BOUND_MARGIN, 0),  # the cap skips it: IoU below thresh
+            (thresh, 1),  # exactly thresh: clipped, and not above thresh
+            (thresh * (1.0 + 1e-12), 1),  # just above: clipped, and suppressed
+        ):
+            small = RotatedBox(3.0, -1.0, 8.0 * ratio, 4.0, theta)
+            boxes = [ScoredBox(big, scores[0]), ScoredBox(small, scores[1])]
+            by_score = sorted(boxes, key=lambda c: -c.score)
+            clips[0] = 0
+            kept = assert_same_kept(boxes, thresh)
+            assert clips[0] == want_clips
+            if ratio > thresh:
+                assert kept == by_score[:1]
+            elif ratio < thresh or theta == 0.0:  # at 0 the clip reads thresh exactly
+                assert kept == by_score
+
+    @pytest.mark.parametrize("dtype", [float, np.float64, np.float32, np.float16])
+    def test_numpy_float_thresholds(self, dtype):
+        # the cap is worked out in float64: in float16, 0.5 times an area
+        # past 65504 overflows to inf, which would skip every pair
+        a = ScoredBox(RotatedBox(0.0, 0.0, 400.0, 300.0, 0.1), 0.9)
+        b = ScoredBox(RotatedBox(5.0, 0.0, 400.0, 300.0, 0.1), 0.8)
+        assert assert_same_kept([a, b], dtype(0.5)) == [a]
+        # nested at this angle, a pair of area ratio 0.5 clips to just above
+        # 0.5, which a float32 or float16 threshold of 0.5 does not exceed
+        small = ScoredBox(RotatedBox(3.0, -1.0, 4.0, 4.0, -0.778), 0.8)
+        big = ScoredBox(RotatedBox(3.0, -1.0, 8.0, 4.0, -0.778), 0.9)
+        assert rotated_iou(small.box, big.box) > 0.5
+        kept = assert_same_kept([big, small], dtype(0.5))
+        assert kept == ([big] if dtype in (float, np.float64) else [big, small])
+
+    @pytest.mark.parametrize("thresh", [0.1, 0.5])
+    def test_wide_scale_sets_with_the_cap_on_and_off(self, thresh):
+        pairs = wide_scale_pairs(12_000, seed=79)
+        scores = np.random.default_rng(79).uniform(0.0, 1.0, (len(pairs), 2)).tolist()
+
+        def scored(chosen):
+            return [ScoredBox(b, s) for k in chosen for b, s in zip(pairs[k], scores[k])]
+
+        def span(boxes):
+            sides = [s for c in boxes for s in (c.box.w, c.box.h)]
+            return max(sides) / min(sides)
+
+        def inside(pair):
+            return all(1.0 <= s < 1e3 for b in pair for s in (b.w, b.h))
+
+        tame = scored([k for k, p in enumerate(pairs) if inside(p)])
+        wide = scored(range(200))
+        assert 80 < len(tame) and span(tame) <= _BOUND_ASPECT < 1e100 < span(wide)
+        # the cap rules out some of the tame set's pairs that clipping would try
+        cap = thresh - _BOUND_MARGIN
+        assert any(
+            rotated_iou(a, b) > 0.0 and min(a.area, b.area) <= cap * max(a.area, b.area)
+            for a, b in (pair for pair in pairs if inside(pair))
+        )
+        for boxes in (tame, wide):
+            kept = assert_same_kept(boxes, thresh)
+            assert len(kept) < len(boxes)
 
 
 nms_scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
