@@ -232,24 +232,25 @@ def rbox_to_quad(b: RotatedBox) -> Quad:
     no area: a box too small for its distance from the origin, such as
     RotatedBox(1e6, 0, 1e-12, 1e-12, 0), whose corners all round to the centre.
     """
-    p = _prepare(b.cx, b.cy, b.w, b.h, b.theta)
-    return Quad(_corner_points(b.cx, b.cy, p))
+    c, s = math.cos(b.theta), math.sin(b.theta)
+    return Quad(_corner_points(b.cx, b.cy, b.w / 2.0, b.h / 2.0, c, s))
 
 
 def _prepare(cx: float, cy: float, w: float, h: float, theta: float) -> tuple:
     """Box (cx, cy, w, h, theta) with what clipping it needs worked out once:
     the five fields, its diagonal ``sqrt(w*w + h*h)`` as _iou's circumcircle
-    test takes it and the half-side products ``(hw*cos, hw*sin, hh*cos, hh*sin)``
-    of its corners."""
-    c, s = math.cos(theta), math.sin(theta)
-    hw, hh = w / 2.0, h / 2.0
-    return (cx, cy, w, h, theta, math.sqrt(w * w + h * h), hw * c, hw * s, hh * c, hh * s)
+    test takes it, the cos and sin of its angle and its half sides
+    ``(w/2, h/2)``."""
+    return (
+        cx, cy, w, h, theta, math.sqrt(w * w + h * h), math.cos(theta), math.sin(theta),
+        w / 2.0, h / 2.0,
+    )
 
 
-def _corner_points(x: float, y: float, p: tuple) -> list[Point]:
-    """Corners of prepared box p with its centre placed at (x, y), in
-    rbox_to_quad's order."""
-    wc, ws, hc, hs = p[6], p[7], p[8], p[9]
+def _corner_points(x: float, y: float, hw: float, hh: float, c: float, s: float) -> list[Point]:
+    """Corners of the box of half sides (hw, hh) centred at (x, y), its w side
+    along (c, s), in rbox_to_quad's order; floats, or arrays of them."""
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
     return [
         (x - wc + hs, y - ws - hc),
         (x + wc + hs, y + ws - hc),
@@ -258,40 +259,34 @@ def _corner_points(x: float, y: float, p: tuple) -> list[Point]:
     ]
 
 
-def _clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
-    """Sutherland-Hodgman: clip `subject` by convex CCW polygon `clip`."""
-    out = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            break
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        pts = out
-        out = []
-        px, py = pts[-1]
-        d_prev = ex * (py - ay) - ey * (px - ax)
-        for cx_, cy_ in pts:
-            d_cur = ex * (cy_ - ay) - ey * (cx_ - ax)
-            if d_cur >= 0.0:
-                if d_prev < 0.0:
-                    t = d_prev / (d_prev - d_cur)
-                    out.append((px + t * (cx_ - px), py + t * (cy_ - py)))
-                out.append((cx_, cy_))
-            elif d_prev >= 0.0:
-                t = d_prev / (d_prev - d_cur)
-                out.append((px + t * (cx_ - px), py + t * (cy_ - py)))
-            px, py, d_prev = cx_, cy_, d_cur
+def _clip_side(pts: list[Point], k: int, sign: float, lim: float) -> list[Point]:
+    """One Sutherland-Hodgman step against an axis-aligned side: the part of
+    polygon ``pts`` where ``d = sign * (lim - coordinate k)`` is at least 0."""
+    out = []
+    px, py = prev = pts[-1]
+    d_prev = sign * (lim - prev[k])
+    for cur in pts:
+        d = sign * (lim - cur[k])
+        if d >= 0.0:
+            if d_prev < 0.0:
+                t = d_prev / (d_prev - d)
+                out.append((px + t * (cur[0] - px), py + t * (cur[1] - py)))
+            out.append(cur)
+        elif d_prev >= 0.0:
+            t = d_prev / (d_prev - d)
+            out.append((px + t * (cur[0] - px), py + t * (cur[1] - py)))
+        px, py = cur
+        d_prev = d
     return out
 
 
 def rotated_iou(a: RotatedBox, b: RotatedBox) -> float:
-    """Exact intersection-over-union via convex polygon clipping.
+    """Exact intersection-over-union via polygon clipping in one box's frame.
 
     Disjoint circumcircles give exactly 0.0: a pair whose centres lie
     farther apart than half the sum of the diagonals ``sqrt(w*w + h*h)`` is
-    not clipped. Clipping runs relative to one box's centre, so precision
+    not clipped. The other pairs are clipped in the frame of one box, where
+    it is the axis-aligned rectangle [-w/2, w/2] x [-h/2, h/2], so precision
     does not depend on the distance from the origin.
     """
     return _iou(a.cx, a.cy, a.w, a.h, a.theta, b.cx, b.cy, b.w, b.h, b.theta)
@@ -307,14 +302,26 @@ def _iou(ax, ay, aw, ah, at, bx, by, bw, bh, bt) -> float:
 
 
 def _overlap(a: tuple, b: tuple) -> float:
-    """IoU of two prepared boxes by clipping, for pairs past _iou's circumcircle test."""
-    # canonical argument order makes the result exactly symmetric
+    """IoU of two prepared boxes by clipping, for pairs past _iou's circumcircle test.
+
+    Of the two, ``a`` is the lexicographically smaller (cx, cy, w, h, theta),
+    so the result is exactly symmetric. In a's frame a is [-p, p] x [-q, q]:
+    b's corners, turned into it, are clipped against x <= p, y <= q,
+    x >= -p and y >= -q in turn.
+    """
     if b[:5] < a[:5]:
         a, b = b, a
-    inter_poly = _clip_polygon(
-        _corner_points(0.0, 0.0, a), _corner_points(b[0] - a[0], b[1] - a[1], b)
+    ca, sa, cb, sb = a[6], a[7], b[6], b[7]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    pts = _corner_points(
+        dx * ca + dy * sa, dy * ca - dx * sa, b[8], b[9], cb * ca + sb * sa, sb * ca - cb * sa
     )
-    inter = abs(_shoelace(inter_poly)) if len(inter_poly) >= 3 else 0.0
+    p, q = a[8], a[9]
+    for k, sign, lim in ((0, 1.0, p), (1, 1.0, q), (0, -1.0, -p), (1, -1.0, -q)):
+        pts = _clip_side(pts, k, sign, lim)
+        if not pts:
+            return 0.0
+    inter = abs(_shoelace(pts)) if len(pts) >= 3 else 0.0
     union = a[2] * a[3] + b[2] * b[3] - inter
     if inter <= 0.0 or union <= 0.0:
         return 0.0
@@ -329,6 +336,11 @@ _PAIR_CHUNK = 2048
 # overlapping plate-sized pairs (every one clipped), 2-core Xeon, batched vs
 # scalar in us: K=1 272 vs 9, K=8 283 vs 68, K=16 286 vs 139, K=32 345 vs
 # 281, K=40 340 vs 339, K=48 348 vs 414, K=64 368 vs 545, K=128 480 vs 1083.
+# Below it _iou_exceeds clips too, as _iou_bounds' fixed cost outweighs the
+# clips it saves. Interleaved timeit on the pairs of synth_fixture(s, 3, 0.3)
+# images, bounds vs clipping in us: K=1 60 vs 7, K=8 61 vs 17, K=16 72 vs 37,
+# K=32 80 vs 85, K=36 87 vs 91, K=40 87 vs 206 (the batched kernel), K=64 104
+# vs 232.
 _SCALAR_PAIRS = 40
 
 
@@ -367,12 +379,13 @@ def _iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # _iou_exceeds decides a pair without clipping when its IoU bounds clear the
-# threshold by _BOUND_MARGIN. Error budget: clipping errs by about aspect
-# ratio x 2^-52 in IoU, so about 1e-13 for boxes within _BOUND_ASPECT, and
+# threshold by _BOUND_MARGIN. Error budget: clipping errs by at most about
+# aspect ratio x 2^-52 in IoU, so about 1e-13 for boxes within _BOUND_ASPECT, and
 # the bounds, a few float operations on the same lengths, by as little; the
 # inscribed rectangle divides by cos 2δ (δ the angle between the boxes), which
 # multiplies its rounding by at most 1 / _MIN_COS_2D. Pairs past either guard
-# are clipped. (The widest gap seen between a bound and the clip is 4.4e-14.)
+# are clipped. (The widest gap seen between a bound and the clip is 1.0e-15,
+# on 900k plate-like, thin (aspect up to 1e3) and nested pairs.)
 _BOUND_MARGIN = 1e-9
 _BOUND_ASPECT = 1e3
 _MIN_COS_2D = 0.1
@@ -381,10 +394,13 @@ _MIN_COS_2D = 0.1
 def _iou_exceeds(a: np.ndarray, b: np.ndarray, thresh: float) -> np.ndarray:
     """(K,) bool array equal to ``_iou_pairs(a, b) > thresh``, bit for bit.
 
-    A pair that fails the circumcircle test of _near has IoU 0.0. Of the
-    others, those whose bounds from _iou_bounds lie clear of the threshold
-    are decided from them, and only the rest are clipped by _iou_pairs.
+    Below _SCALAR_PAIRS pairs it is that comparison itself. Otherwise a pair
+    that fails the circumcircle test of _near has IoU 0.0. Of the others,
+    those whose bounds from _iou_bounds lie clear of the threshold are
+    decided from them, and only the rest are clipped by _iou_pairs.
     """
+    if len(a) < _SCALAR_PAIRS:
+        return _iou_pairs(a, b) > thresh
     out = np.full(len(a), 0.0 > thresh)
     live = np.flatnonzero(_near(a, b))
     undecided = []
@@ -443,21 +459,27 @@ def _frame_overlap(p, q, u, v, x, y):
 
 
 def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_iou of pairs that pass its circumcircle test, clipped all at once."""
+    """_iou of pairs that pass its circumcircle test: _overlap's operations,
+    in its order, on every pair at once."""
     # canonical argument order: a is the lexicographically smaller row
     swap = np.zeros(len(a), dtype=bool)
     for k in range(4, -1, -1):
         swap = (b[:, k] < a[:, k]) | ((b[:, k] == a[:, k]) & swap)
     a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
-    # flat vertex lists: polygon k's count[k] vertices follow polygon k-1's
-    xs, ys = (v.ravel() for v in _corner_columns(a, a))
-    clip_x, clip_y = _corner_columns(b, a)
+    angles = a[:, 4].tolist(), b[:, 4].tolist()
+    ca, sa, cb, sb = (
+        np.fromiter(map(f, t), np.float64, len(t)) for t in angles for f in (math.cos, math.sin)
+    )
+    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    u, v = dx * ca + dy * sa, dy * ca - dx * sa
+    c, s = cb * ca + sb * sa, sb * ca - cb * sa
+    corners = _corner_points(u, v, b[:, 2] / 2.0, b[:, 3] / 2.0, c, s)
+    # flat vertex lists: polygon j's count[j] vertices follow polygon j-1's
+    xs, ys = (np.column_stack(column).ravel() for column in zip(*corners))
     count = np.full(len(a), 4)
-    for i in range(4):
-        j = (i + 1) % 4
-        xs, ys, count = _clip_edge(
-            xs, ys, count, clip_x[:, i], clip_y[:, i], clip_x[:, j], clip_y[:, j]
-        )
+    p, q = a[:, 2] / 2.0, a[:, 3] / 2.0
+    for k, sign, lim in ((0, 1.0, p), (1, 1.0, q), (0, -1.0, -p), (1, -1.0, -q)):
+        xs, ys, count = _clip_side_flat(xs, ys, count, k, sign, lim)
     # shoelace, each polygon's terms summed in _shoelace's order
     first = np.cumsum(count) - count
     nonempty = count > 0
@@ -473,30 +495,17 @@ def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where((inter <= 0.0) | (union <= 0.0), 0.0, np.minimum(inter / union, 1.0))
 
 
-def _corner_columns(boxes: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, 4) x and y of each row's ``_corner_points`` relative to the origin row's centre."""
-    theta = boxes[:, 4].tolist()
-    c = np.fromiter(map(math.cos, theta), np.float64, len(theta))
-    s = np.fromiter(map(math.sin, theta), np.float64, len(theta))
-    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
-    x, y = boxes[:, 0] - origin[:, 0], boxes[:, 1] - origin[:, 1]
-    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
-    xs = np.column_stack([x - wc + hs, x + wc + hs, x + wc - hs, x - wc - hs])
-    ys = np.column_stack([y - ws - hc, y + ws - hc, y + ws + hc, y - ws + hc])
-    return xs, ys
+def _clip_side_flat(xs, ys, count, k, sign, lim):
+    """_clip_side on every polygon at once.
 
-
-def _clip_edge(xs, ys, count, ax, ay, bx, by):
-    """One Sutherland-Hodgman step of _clip_polygon on every polygon at once.
-
-    Polygon k, ``count[k]`` vertices of the flat ``xs`` and ``ys`` after
-    those of polygons 0..k-1, keeps its part left of edge (ax, ay) -> (bx, by)
-    at index k. Returns the clipped polygons in the same layout.
+    Polygon j, ``count[j]`` vertices of the flat ``xs`` and ``ys`` after
+    those of polygons 0..j-1, keeps its part where
+    ``sign * (lim[j] - coordinate k) >= 0``. Returns the clipped polygons in
+    the same layout.
     """
     owner = np.repeat(np.arange(len(count)), count)
     first = np.cumsum(count) - count
-    ex, ey = bx - ax, by - ay
-    d = ex[owner] * (ys - ay[owner]) - ey[owner] * (xs - ax[owner])
+    d = sign * (lim[owner] - (ys if k else xs))
     # each vertex's predecessor: the vertex before it, or its polygon's last
     prev = np.arange(-1, len(xs) - 1)
     nonempty = count > 0
@@ -505,12 +514,12 @@ def _clip_edge(xs, ys, count, ax, ay, bx, by):
     inside = d >= 0.0
     cross = inside != (d_prev >= 0.0)
     t = d_prev / (d_prev - d)
-    # a vertex emits the crossing of the edge into it, then itself, as each applies
+    # a vertex emits the crossing of the side into it, then itself, as each applies
     emit = np.column_stack([cross, inside]).ravel()
     new_xs = np.column_stack([px + t * (xs - px), xs]).ravel()[emit]
     new_ys = np.column_stack([py + t * (ys - py), ys]).ravel()[emit]
-    k = len(count)
-    new_count = np.bincount(owner[cross], minlength=k) + np.bincount(owner[inside], minlength=k)
+    j = len(count)
+    new_count = np.bincount(owner[cross], minlength=j) + np.bincount(owner[inside], minlength=j)
     return new_xs, new_ys, new_count
 
 

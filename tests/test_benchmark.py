@@ -23,11 +23,10 @@ def test_benchmark_selftest_passes_and_cleans_up():
     assert set(work.glob("selftest-*")) == before
 
 
-def test_det_step_runs_end_to_end_and_checks_clean():
-    """One short det_step run exits 0 with every step's output checked and
-    none failed; its NMS check holds the greedy definition on real steps."""
+def run_workload(workload, seed):
+    """The result line of a one-second untraced run of a benchmark workload."""
     proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", "det_step", "--seed", "3",
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
@@ -38,3 +37,16 @@ def test_det_step_runs_end_to_end_and_checks_clean():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["attempted"] > 0, result
+    return result
+
+
+def test_det_step_runs_end_to_end_and_checks_clean():
+    """One short det_step run exits 0 with every step's output checked and
+    none failed; its NMS check holds the greedy definition on real steps."""
+    run_workload("det_step", 3)
+
+
+def test_eval_10k_runs_end_to_end_and_checks_clean():
+    """One short eval_10k run exits 0 with every image's counts equal to the
+    constructed ones, through evaluate's IoU threshold kernel."""
+    run_workload("eval_10k", 3)

@@ -19,7 +19,6 @@ from lpcore.geometry import (
     _PAIR_CHUNK,
     _SCALAR_PAIRS,
     _checked_box_array,
-    _clip_polygon,
     _frame_overlap,
     _iou,
     _iou_bounds,
@@ -395,6 +394,35 @@ class TestRotatedIou:
         # all quantities dyadic: intersection 0.75, union 1.25, quotient 0.6
         v = rotated_iou(RotatedBox(0, 0, 1, 1, 0), RotatedBox(0.25, 0, 1, 1, 0))
         assert v == 0.6
+
+
+def _clip_polygon(subject, clip):
+    """Sutherland-Hodgman: clip `subject` by convex CCW polygon `clip`, each
+    step a cross product against a general edge."""
+    out = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not out:
+            break
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        pts = out
+        out = []
+        px, py = pts[-1]
+        d_prev = ex * (py - ay) - ey * (px - ax)
+        for cx_, cy_ in pts:
+            d_cur = ex * (cy_ - ay) - ey * (cx_ - ax)
+            if d_cur >= 0.0:
+                if d_prev < 0.0:
+                    t = d_prev / (d_prev - d_cur)
+                    out.append((px + t * (cx_ - px), py + t * (cy_ - py)))
+                out.append((cx_, cy_))
+            elif d_prev >= 0.0:
+                t = d_prev / (d_prev - d_cur)
+                out.append((px + t * (cx_ - px), py + t * (cy_ - py)))
+            px, py, d_prev = cx_, cy_, d_cur
+    return out
 
 
 def quad_reference_iou(a, b):
@@ -908,13 +936,15 @@ class TestIouExceeds:
         assert 0.0 <= got[0] <= w * h
 
     def test_clipping_decides_past_the_aspect_guard(self):
-        # nested boxes of exact IoU 0.5, which clipping reads as 0.49221 at
-        # this aspect ratio, where the corners lose the short side: the
-        # answer is the clip's
-        a = np.array([[0.0, 0.0, 1.0, 1e14, 0.3]])
-        b = np.array([[0.0, 0.0, 0.5, 1e14, 0.3]])
-        assert 0.49 < _iou_pairs(a, b)[0] < 0.495
-        assert not _iou_exceeds(a, b, 0.495)[0] and _iou_exceeds(a, b, 0.49)[0]
+        # nested boxes of exact IoU 0.5 at an aspect ratio past the guard:
+        # the answer is the clip's, which keeps the short side in a's frame
+        # (enough rows that _iou_exceeds takes its bounds)
+        a = np.array([[0.0, 0.0, 1.0, 1e14, 0.3]] * _SCALAR_PAIRS)
+        b = np.array([[0.0, 0.0, 0.5, 1e14, 0.3]] * _SCALAR_PAIRS)
+        got = _iou_pairs(a, b)
+        assert np.all(np.abs(got - 0.5) <= 4 * math.ulp(0.5))
+        for t in (0.5 - 1e-12, 0.5 + 1e-12):
+            np.testing.assert_array_equal(_iou_exceeds(a, b, t), got > t)
 
     def test_guards_leave_pairs_undecided(self):
         a = np.array([[0.0, 0.0, 4.0, 2.0, 0.0]] * 3)
@@ -925,6 +955,45 @@ class TestIouExceeds:
         lo, hi = _iou_bounds(a, b)
         assert np.isnan(lo[:2]).all() and np.isnan(hi[:2]).all()
         assert 0.0 <= lo[2] <= hi[2] <= 1.0
+
+
+class TestIouExceedsDispatch:
+    @pytest.mark.parametrize("k", [_SCALAR_PAIRS - 1, _SCALAR_PAIRS, _SCALAR_PAIRS + 1])
+    def test_either_side_of_the_cut_is_clipping(self, monkeypatch, k):
+        a, b = plate_pairs(np.random.default_rng(89 + k), k, 0.3)
+        b[::4, 0] += 1e4  # early-out pairs among the close ones
+        calls = []
+        iou_bounds = geometry._iou_bounds
+
+        def spy(x, y):
+            calls.append(len(x))
+            return iou_bounds(x, y)
+
+        monkeypatch.setattr(geometry, "_iou_bounds", spy)
+        clip = _iou_pairs(a, b)
+        assert 0 < np.count_nonzero(clip) < k
+        for t in (0.0, 0.3, 0.6):
+            got = _iou_exceeds(a, b, t)
+            assert got.shape == (k,) and got.dtype == bool
+            np.testing.assert_array_equal(got, clip > t)
+        assert bool(calls) == (k >= _SCALAR_PAIRS)
+
+    def test_bounds_on_edge_cases_below_the_cut(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_SCALAR_PAIRS", 0)
+        assert_exceeds_is_clipping(*edge_case_pairs(), thresholds=(-1e-300, -1.0, 2.0))
+
+    def test_bounds_on_plate_pairs_below_the_cut(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_SCALAR_PAIRS", 0)
+        rng = np.random.default_rng(61)
+        for jitter in (0.0, 0.03, 1.0):
+            assert_exceeds_is_clipping(*plate_pairs(rng, 15, jitter))
+
+    @settings(max_examples=40, deadline=None)
+    @given(decision_pairs())
+    def test_bounds_on_drawn_pairs_below_the_cut(self, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_SCALAR_PAIRS", 0)
+            assert_exceeds_is_clipping(*rows)
 
 
 def tangent_pairs(seed, n):
@@ -984,6 +1053,43 @@ class TestTangentPairs:
         np.testing.assert_array_equal(bits(got), bits(want))
 
 
+class TestClipInTheFirstBoxFrame:
+    def test_a_box_whose_corners_round_together_clips_to_no_area(self, monkeypatch):
+        # the tiny box lies 1e74 from the huge one's centre, so in the huge
+        # box's frame its corners round to one point, which clips to no area
+        a = RotatedBox(696464.131275903, -609014.0993810801, 2.4704775675192316e-97,
+                       1.2847527169778793e-96, -0.042612696493636526)
+        b = RotatedBox(-1.1639455504903184e+74, -9.209671537132648e+72, 2.11985965341477e+74,
+                       9.79387179708719e+73, -0.731862598688852)
+        assert rotated_iou(a, b) == rotated_iou(b, a) == 0.0
+        rows_a, rows_b = box_rows([a, b]), box_rows([b, a])
+        for cut in (_SCALAR_PAIRS, 0):  # the scalar loop, then the batched kernel
+            monkeypatch.setattr(geometry, "_SCALAR_PAIRS", cut)
+            np.testing.assert_array_equal(_iou_pairs(rows_a, rows_b), [0.0, 0.0])
+            got = rotated_iou_matrix(rows_a, rows_b)
+            np.testing.assert_array_equal(got, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("r", [1e3, 1e6, 1e9, 1e12, 1e14])
+    def test_nested_boxes_at_one_angle_give_their_area_ratio(self, r):
+        # (cx, cy, 1, r, theta) holds (cx, cy, f, r, theta): the IoU is f
+        thetas = np.linspace(-QUARTER_PI, QUARTER_PI, 9, endpoint=False).tolist() + [0.3]
+        rows_a, rows_b, want = [], [], []
+        for cx, cy in ((0.0, 0.0), (37.5, -1200.25)):
+            for theta in thetas:
+                for f in (0.25, 0.5, 0.8):
+                    rows_a.append((cx, cy, 1.0, r, theta))
+                    rows_b.append((cx, cy, f, r, theta))
+                    want.append(f)
+        a, b, want = np.array(rows_a), np.array(rows_b), np.array(want)
+        assert len(a) >= _SCALAR_PAIRS  # the batched kernel
+        tol = 4 * np.spacing(want)
+        scalar = [rotated_iou(RotatedBox(*x), RotatedBox(*y)) for x, y in zip(rows_a, rows_b)]
+        assert np.all(np.abs(np.array(scalar) - want) <= tol)
+        assert np.all(np.abs(_iou_pairs(a, b) - want) <= tol)
+        assert np.all(np.abs(_iou_pairs(b, a) - want) <= tol)
+        assert np.all(np.abs(np.diag(rotated_iou_matrix(a, b)) - want) <= tol)
+
+
 def unprepared_corners(cx, cy, w, h, theta, ox, oy):
     """Corners of a box relative to (ox, oy), worked out from its fields on
     every call as rotated_iou and rbox_to_quad did before boxes were prepared
@@ -1001,7 +1107,9 @@ def unprepared_corners(cx, cy, w, h, theta, ox, oy):
 
 
 def unprepared_iou(a, b):
-    """rotated_iou with corners from unprepared_corners, operation for operation."""
+    """rotated_iou worked out from the boxes' fields on every call, operation
+    for operation: b's corners turned into the frame of a, where a is
+    [-p, p] x [-q, q], and clipped against its four sides in turn."""
     ax, ay, aw, ah, at = a.cx, a.cy, a.w, a.h, a.theta
     bx, by, bw, bh, bt = b.cx, b.cy, b.w, b.h, b.theta
     dx, dy = bx - ax, by - ay
@@ -1010,11 +1118,30 @@ def unprepared_iou(a, b):
         return 0.0
     if (bx, by, bw, bh, bt) < (ax, ay, aw, ah, at):
         ax, ay, aw, ah, at, bx, by, bw, bh, bt = bx, by, bw, bh, bt, ax, ay, aw, ah, at
-    inter_poly = _clip_polygon(
-        unprepared_corners(ax, ay, aw, ah, at, ax, ay),
-        unprepared_corners(bx, by, bw, bh, bt, ax, ay),
-    )
-    inter = abs(_shoelace(inter_poly)) if len(inter_poly) >= 3 else 0.0
+    ca, sa, cb, sb = math.cos(at), math.sin(at), math.cos(bt), math.sin(bt)
+    dx, dy = bx - ax, by - ay
+    u, v = dx * ca + dy * sa, dy * ca - dx * sa
+    c, s = cb * ca + sb * sa, sb * ca - cb * sa
+    hw, hh = bw / 2.0, bh / 2.0
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    poly = [
+        (u - wc + hs, v - ws - hc),
+        (u + wc + hs, v + ws - hc),
+        (u + wc - hs, v + ws + hc),
+        (u - wc - hs, v - ws + hc),
+    ]
+    p, q = aw / 2.0, ah / 2.0
+    for k, sign, lim in ((0, 1.0, p), (1, 1.0, q), (0, -1.0, -p), (1, -1.0, -q)):
+        pts, poly = poly, []
+        for i, cur in enumerate(pts):
+            prev = pts[i - 1]
+            d_prev, d = sign * (lim - prev[k]), sign * (lim - cur[k])
+            if (d >= 0.0) != (d_prev >= 0.0):
+                t = d_prev / (d_prev - d)
+                poly.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if d >= 0.0:
+                poly.append(cur)
+    inter = abs(_shoelace(poly)) if len(poly) >= 3 else 0.0
     union = aw * ah + bw * bh - inter
     if inter <= 0.0 or union <= 0.0:
         return 0.0
@@ -1194,11 +1321,12 @@ class TestNmsNearestFirstAndAreaCap:
         a = ScoredBox(RotatedBox(0.0, 0.0, 400.0, 300.0, 0.1), 0.9)
         b = ScoredBox(RotatedBox(5.0, 0.0, 400.0, 300.0, 0.1), 0.8)
         assert assert_same_kept([a, b], dtype(0.5)) == [a]
-        # nested at this angle, a pair of area ratio 0.5 clips to just above
-        # 0.5, which a float32 or float16 threshold of 0.5 does not exceed
-        small = ScoredBox(RotatedBox(3.0, -1.0, 4.0, 4.0, -0.778), 0.8)
-        big = ScoredBox(RotatedBox(3.0, -1.0, 8.0, 4.0, -0.778), 0.9)
-        assert rotated_iou(small.box, big.box) > 0.5
+        # a nested pair of area ratio 0.5 that clips to one ulp above 0.5,
+        # which a float32 or float16 threshold of 0.5 does not exceed
+        small = ScoredBox(RotatedBox(-6.49, 7.26, 4.79, 3.1, -0.121), 0.8)
+        big = ScoredBox(RotatedBox(-6.49, 7.26, 9.58, 3.1, -0.121), 0.9)
+        iou = rotated_iou(small.box, big.box)
+        assert iou > 0.5 and np.float32(iou) == 0.5
         kept = assert_same_kept([big, small], dtype(0.5))
         assert kept == ([big] if dtype in (float, np.float64) else [big, small])
 
