@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import MAX_SIDE, MIN_SIDE, RotatedBox, _box_array, _checked_box_array, _iou_matrix
-from .geometry import _is_int, _real_as_float
+from .geometry import _check_unit_threshold, _is_int, _real_as_float
 
 # Conventional single-stage defaults; the P3 stride with a wide 3:1 base
 # matches plate geometry. All are overridable call arguments.
@@ -158,10 +158,14 @@ def assign_targets(
     - failing that, it stays unmatched.
 
     So a force-match never leaves a ground truth that had a positive anchor
-    without one. Ties in IoU go to the lower anchor index.
+    without one. Ties in IoU go to the lower anchor index. A threshold that is
+    not a real number (a bool is not one) in [0, 1], or a neg_iou not below
+    pos_iou, raises ValueError.
     """
-    if not 0.0 <= neg_iou < pos_iou <= 1.0:
-        raise ValueError(f"need 0 <= neg_iou < pos_iou <= 1, got ({pos_iou}, {neg_iou})")
+    _check_unit_threshold(pos_iou, "pos_iou")
+    _check_unit_threshold(neg_iou, "neg_iou")
+    if not neg_iou < pos_iou:
+        raise ValueError(f"need neg_iou < pos_iou, got ({pos_iou}, {neg_iou})")
     n = len(grid.boxes)
     if not gts:
         return Assignment(

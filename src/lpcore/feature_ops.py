@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .geometry import RotatedBox, ScoredBox, _is_int
+from .geometry import RotatedBox, ScoredBox, _check_unit_threshold, _is_int
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ def training_crop_boxes(
 
     Ground-truth boxes are always cropped; predicted boxes join them only
     when their score is strictly above the threshold, so near-miss boxes
-    that may cut characters off stay out.
+    that may cut characters off stay out. A threshold that is not a real
+    number (a bool is not one) in [0, 1] raises ValueError.
     """
+    _check_unit_threshold(score_thresh, "score_thresh")
     selected = list(gts)
     selected.extend(sb.box for sb in preds if sb.score > score_thresh)
     return selected

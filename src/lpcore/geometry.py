@@ -307,7 +307,9 @@ def _overlap(a: tuple, b: tuple) -> float:
     Of the two, ``a`` is the lexicographically smaller (cx, cy, w, h, theta),
     so the result is exactly symmetric. In a's frame a is [-p, p] x [-q, q]:
     b's corners, turned into it, are clipped against x <= p, y <= q,
-    x >= -p and y >= -q in turn.
+    x >= -p and y >= -q in turn. The clipped area is capped at the smaller box
+    area, an exact bound, so for areas A and B the IoU is at most
+    (min(A, B) / max(A, B))(1 + 5 * 2**-53).
     """
     if b[:5] < a[:5]:
         a, b = b, a
@@ -322,10 +324,12 @@ def _overlap(a: tuple, b: tuple) -> float:
         if not pts:
             return 0.0
     inter = abs(_shoelace(pts)) if len(pts) >= 3 else 0.0
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    if inter <= 0.0 or union <= 0.0:
-        return 0.0
-    return min(inter / union, 1.0)
+    area_a, area_b = a[2] * a[3], b[2] * b[3]
+    small = area_a if area_a < area_b else area_b
+    if inter > small:
+        inter = small
+    # inter <= min(A, B), so the union is at least max(A, B)(1 - 3 * 2**-53) > 0
+    return min(inter / (area_a + area_b - inter), 1.0)
 
 
 # _iou_pairs clips at most this many pairs at a time, which bounds its scratch
@@ -460,7 +464,7 @@ def _frame_overlap(p, q, u, v, x, y):
 
 def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_iou of pairs that pass its circumcircle test: _overlap's operations,
-    in its order, on every pair at once."""
+    in its order and with its area cap, on every pair at once."""
     # canonical argument order: a is the lexicographically smaller row
     swap = np.zeros(len(a), dtype=bool)
     for k in range(4, -1, -1):
@@ -490,9 +494,9 @@ def _clip_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for r in range(count.max(initial=0)):
         more = np.flatnonzero(r < count)
         acc[more] += terms[first[more] + r]
-    inter = np.where(count >= 3, np.abs(0.5 * acc), 0.0)
-    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
-    return np.where((inter <= 0.0) | (union <= 0.0), 0.0, np.minimum(inter / union, 1.0))
+    area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+    inter = np.where(count >= 3, np.minimum(np.minimum(np.abs(0.5 * acc), area_a), area_b), 0.0)
+    return np.minimum(inter / (area_a + area_b - inter), 1.0)
 
 
 def _clip_side_flat(xs, ys, count, k, sign, lim):
@@ -588,26 +592,20 @@ def rotated_nms(boxes: list[ScoredBox], iou_threshold: float) -> list[ScoredBox]
     kept boxes that can decide it. A pair that fails rotated_iou's
     circumcircle test has IoU 0.0, which never exceeds the threshold. Nor
     does a pair whose areas A and B satisfy
-    ``min(A, B) <= (iou_threshold - _BOUND_MARGIN) * max(A, B)``: its
-    intersection is at most min(A, B) and its union at least max(A, B), and
-    clipping errs by far less than _BOUND_MARGIN (see _iou_exceeds) while
-    every side of the call lies within a factor _BOUND_ASPECT of every
-    other. Past that range, where a tiny box far from a huge one can clip to
-    a spurious IoU, the area cap is off and every pair past the
-    circumcircle test is clipped; below a threshold of _BOUND_MARGIN it
-    skips nothing. The candidate is dropped if any kept box exceeds the threshold,
-    so the order in which they are tried cannot change the result: the
-    nearest centre, the likeliest suppressor, goes first, then the rest in
-    kept order, until one exceeds. Each clip is the same ``_overlap`` call
-    on the same prepared boxes, bit for bit.
+    ``min(A, B) <= (iou_threshold - _BOUND_MARGIN) * max(A, B)``: as _overlap
+    caps the intersection at min(A, B), its clip is at most
+    ``(iou_threshold - 1e-9)(1 + 6 * 2**-53)``, the extra ulp for the
+    rounding of the cap's product. The candidate is dropped if any kept
+    box exceeds the threshold, so the order in which they are tried cannot
+    change the result: the nearest centre, the likeliest suppressor, goes
+    first, then the rest in kept order, until one exceeds. Each clip is the
+    same ``_overlap`` call on the same prepared boxes, bit for bit.
     """
     _check_unit_threshold(iou_threshold, "iou_threshold")
     order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
-    sides = [s for c in boxes for s in (c.box.w, c.box.h)]
-    tame = bool(sides) and max(sides) <= _BOUND_ASPECT * min(sides)
     # float64 whatever the threshold's type (a float16 cap times an area can
-    # overflow); areas are > 0, so a cap of 0 skips nothing
-    cap = float(iou_threshold) - _BOUND_MARGIN if tame else 0.0
+    # overflow); areas are > 0, so a cap <= 0 skips nothing
+    cap = float(iou_threshold) - _BOUND_MARGIN
     kept: list[ScoredBox] = []
     kept_rows: list[tuple] = []  # (cx, cy, diagonal, area, prepared box) per kept box
     for i in order:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .anchors import BoxDelta, ShapeDelta
 from .errors import DomainError
+from .geometry import _real_as_float
 
 # Probabilities are clamped away from {0, 1} before log().
 PROB_EPS = 1e-7
@@ -21,16 +22,21 @@ PROB_EPS = 1e-7
 
 @dataclass(frozen=True)
 class FocalParams:
-    """Focal loss balance/focusing parameters."""
+    """Focal loss balance/focusing parameters: alpha a real number in (0, 1),
+    gamma in [0, inf); anything else, a bool, str or None included, raises
+    ValueError."""
 
     alpha: float = 0.25
     gamma: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        alpha, gamma = (
+            math.nan if isinstance(v, bool) else _real_as_float(v) for v in (self.alpha, self.gamma)
+        )
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,13 @@ class TestAssignTargets:
         with pytest.raises(ValueError):
             assign_targets(grid, [], pos_iou=0.4, neg_iou=0.5)
 
+    @pytest.mark.parametrize("name", ["pos_iou", "neg_iou"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, math.nan, 1.5, -0.1])
+    def test_rejects_a_threshold_that_is_not_a_unit_real(self, name, value):
+        grid = generate_anchors(2, 2, 8, 16.0, 8.0)
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
+            assign_targets(grid, [RotatedBox(8, 8, 16, 8, 0.1)], **{name: value})
+
 
 class TestDeltaCoding:
     def test_identical_boxes_zero_delta(self):

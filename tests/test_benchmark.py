@@ -50,3 +50,15 @@ def test_eval_10k_runs_end_to_end_and_checks_clean():
     """One short eval_10k run exits 0 with every image's counts equal to the
     constructed ones, through evaluate's IoU threshold kernel."""
     run_workload("eval_10k", 3)
+
+
+def test_rec_step_runs_end_to_end_and_checks_clean():
+    """One short rec_step run exits 0 with every crop, decode and loss held
+    to its constructed or oracle value."""
+    run_workload("rec_step", 3)
+
+
+def test_oracle_verify_runs_end_to_end_and_checks_clean():
+    """One short oracle_verify run exits 0 with every oracle comparison
+    within its tolerance."""
+    run_workload("oracle_verify", 3)

@@ -403,6 +403,12 @@ class TestTrainingCropBoxes:
         gts = [RotatedBox(5, 5, 4, 2, 0.0)]
         assert training_crop_boxes(gts, []) == gts
 
+    @pytest.mark.parametrize("thresh", [math.nan, "0.5", True, None, 1.5, -0.1])
+    def test_rejects_a_threshold_that_is_not_a_unit_real(self, thresh):
+        preds = [ScoredBox(RotatedBox(1, 1, 4, 2, 0), 0.95)]
+        with pytest.raises(ValueError, match="score_thresh must be in"):
+            training_crop_boxes([], preds, thresh)
+
 
 class TestBiLstm:
     @staticmethod

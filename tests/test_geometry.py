@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpcore import geometry
@@ -1090,6 +1090,122 @@ class TestClipInTheFirstBoxFrame:
         assert np.all(np.abs(np.diag(rotated_iou_matrix(a, b)) - want) <= tol)
 
 
+# two needles at one centre whose crossings, at their aspect ratio of 3e101,
+# round by far more than the first one's half height
+NEEDLES = (
+    RotatedBox(-268309.93465468683, 656309.667997923, 1.82846502629851e-33,
+               2.3546411067516774e-64, -0.5993990517685157),
+    RotatedBox(-268309.93465468683, 656309.667997923, 9.152521977662663e-31,
+               2.7534581508700403e-132, 0.08177931754450363),
+)
+
+
+def assert_clips_within_area_ratio(a, b):
+    """Every pair of (K, 5) rows clips, either way round and in the scalar
+    and the batched kernel, to at most (min(A, B) / max(A, B))(1 + 8 * 2^-53)."""
+    area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+    cap = np.minimum(area_a, area_b) / np.maximum(area_a, area_b) * (1.0 + 8 * 2.0**-53)
+    for x, y in ((a, b), (b, a)):
+        scalar = np.array([_iou(*p, *q) for p, q in zip(x.tolist(), y.tolist())])
+        with np.errstate(all="ignore"):
+            batched = geometry._clip_iou(x, y)
+        assert np.all(scalar <= cap) and np.all(batched <= cap)
+
+
+def scattered_pairs(seed, n):
+    """n pairs of canonical rows with sides 1e-140..1e140 drawn apart, first
+    centres within 1e6 and second centres a uniform fraction of the summed
+    circumradii away: mostly near and wildly unlike pairs."""
+    rng = np.random.default_rng(seed)
+    sides = 10.0 ** rng.uniform(-140.0, 140.0, (2, n, 2))
+    reach = 0.5 * (np.hypot(*sides[0].T) + np.hypot(*sides[1].T))
+    dist = reach * rng.uniform(0.0, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    a = np.column_stack([rng.uniform(-1e6, 1e6, (n, 2)), sides[0], rng.uniform(-4.0, 4.0, n)])
+    b = np.column_stack(
+        [a[:, 0] + dist * np.cos(phi), a[:, 1] + dist * np.sin(phi), sides[1],
+         rng.uniform(-4.0, 4.0, n)]
+    )
+    return _checked_box_array(a, "a"), _checked_box_array(b, "b")
+
+
+def needle_pairs(seed, n):
+    """n pairs of canonical rows at one centre within 1e6 and any angles: a
+    box of long side L (1e-140..1e140) and aspect up to 1e40, and one of long
+    side 0.1-1e4 L and aspect up to 1e120, as NEEDLES is."""
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(-1e6, 1e6, (n, 2))
+    long_a = 10.0 ** rng.uniform(-140.0, 140.0, n)
+    long_b = long_a * 10.0 ** rng.uniform(-1.0, 4.0, n)
+    sides_a = np.column_stack([long_a, long_a * 10.0 ** rng.uniform(-40.0, 0.0, n)])
+    sides_b = np.column_stack([long_b, long_b * 10.0 ** rng.uniform(-120.0, 0.0, n)])
+    a, b = (
+        np.column_stack([centre, np.clip(sides, MIN_SIDE, MAX_SIDE), rng.uniform(-4.0, 4.0, n)])
+        for sides in (sides_a, sides_b)
+    )
+    return _checked_box_array(a, "a"), _checked_box_array(b, "b")
+
+
+def whole_range_pairs():
+    """(a, b) row arrays of up to 8 pairs with sides across [MIN_SIDE, MAX_SIDE],
+    first centres within 1e6 and second centres a drawn fraction of the summed
+    circumradii away, at a drawn angle."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    side = st.floats(-150.0, 150.0).map(lambda e: min(max(10.0**e, MIN_SIDE), MAX_SIDE))
+    centre, angle = st.floats(-1e6, 1e6, **finite), st.floats(-4.0, 4.0)
+    fraction = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    pair = st.tuples(centre, centre, side, side, angle, side, side, angle, fraction,
+                     st.floats(0.0, 2.0 * math.pi))
+
+    def build(pairs):
+        a, b = [], []
+        for ax, ay, aw, ah, at, bw, bh, bt, f, phi in pairs:
+            dist = f * 0.5 * (math.hypot(aw, ah) + math.hypot(bw, bh))
+            a.append((ax, ay, aw, ah, at))
+            b.append((ax + dist * math.cos(phi), ay + dist * math.sin(phi), bw, bh, bt))
+        return tuple(_checked_box_array(np.array(r).reshape(-1, 5), "rows") for r in (a, b))
+
+    return st.lists(pair, min_size=1, max_size=8).map(build)
+
+
+class TestClipAreaCap:
+    def test_needles_read_at_most_their_area_ratio(self, monkeypatch):
+        a, b = NEEDLES
+        ratio = min(a.area, b.area) / max(a.area, b.area)
+        assert rotated_iou(a, b) <= ratio and rotated_iou(b, a) <= ratio
+        rows_a, rows_b = box_rows([a, b]), box_rows([b, a])
+        for cut in (_SCALAR_PAIRS, 0):  # the scalar loop, then the batched kernel
+            monkeypatch.setattr(geometry, "_SCALAR_PAIRS", cut)
+            assert np.all(_iou_pairs(rows_a, rows_b) <= ratio)
+            assert np.all(np.diag(rotated_iou_matrix(rows_a, rows_b)) <= ratio)
+
+    @pytest.mark.parametrize("pairs", [scattered_pairs, needle_pairs])
+    def test_seeded_wide_scale_clips_within_their_area_ratio(self, pairs):
+        a, b = pairs(45, 20_000)
+        assert_clips_within_area_ratio(a, b)
+        # the two kernels stay one kernel here as well
+        np.testing.assert_array_equal(
+            bits(_iou_pairs(a, b)), bits([_iou(*p, *q) for p, q in zip(a.tolist(), b.tolist())])
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(whole_range_pairs())
+    @example(tuple(box_rows([box]) for box in NEEDLES))
+    def test_clips_within_their_area_ratio_over_the_whole_range(self, rows):
+        assert_clips_within_area_ratio(*rows)
+
+    @pytest.mark.parametrize("thresh", [0.1, 0.5])
+    def test_wide_scale_nms_keeps_the_capped_loops_objects(self, thresh):
+        a, b = needle_pairs(44, 8_000)
+        scores = np.random.default_rng(44).uniform(0.0, 1.0, (len(a), 2)).tolist()
+        boxes = []
+        for ra, rb, (sa, sb) in zip(a.tolist(), b.tolist(), scores):
+            boxes += [ScoredBox(RotatedBox(*ra), sa), ScoredBox(RotatedBox(*rb), sb)]
+        for start in range(0, len(boxes), 4):  # two needle pairs per set
+            assert_same_kept(boxes[start : start + 4], thresh)
+        assert_same_kept([ScoredBox(NEEDLES[0], 0.9), ScoredBox(NEEDLES[1], 0.8)], thresh)
+
+
 def unprepared_corners(cx, cy, w, h, theta, ox, oy):
     """Corners of a box relative to (ox, oy), worked out from its fields on
     every call as rotated_iou and rbox_to_quad did before boxes were prepared
@@ -1109,7 +1225,8 @@ def unprepared_corners(cx, cy, w, h, theta, ox, oy):
 def unprepared_iou(a, b):
     """rotated_iou worked out from the boxes' fields on every call, operation
     for operation: b's corners turned into the frame of a, where a is
-    [-p, p] x [-q, q], and clipped against its four sides in turn."""
+    [-p, p] x [-q, q], clipped against its four sides in turn, and the
+    clipped area capped at the smaller box area."""
     ax, ay, aw, ah, at = a.cx, a.cy, a.w, a.h, a.theta
     bx, by, bw, bh, bt = b.cx, b.cy, b.w, b.h, b.theta
     dx, dy = bx - ax, by - ay
@@ -1141,11 +1258,8 @@ def unprepared_iou(a, b):
                 poly.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
             if d >= 0.0:
                 poly.append(cur)
-    inter = abs(_shoelace(poly)) if len(poly) >= 3 else 0.0
-    union = aw * ah + bw * bh - inter
-    if inter <= 0.0 or union <= 0.0:
-        return 0.0
-    return min(inter / union, 1.0)
+    inter = min(abs(_shoelace(poly)) if len(poly) >= 3 else 0.0, aw * ah, bw * bh)
+    return min(inter / (aw * ah + bw * bh - inter), 1.0)
 
 
 def unprepared_nms(boxes, thresh):
@@ -1331,7 +1445,7 @@ class TestNmsNearestFirstAndAreaCap:
         assert kept == ([big] if dtype in (float, np.float64) else [big, small])
 
     @pytest.mark.parametrize("thresh", [0.1, 0.5])
-    def test_wide_scale_sets_with_the_cap_on_and_off(self, thresh):
+    def test_wide_scale_sets_with_the_cap_on_for_every_set(self, monkeypatch, thresh):
         pairs = wide_scale_pairs(12_000, seed=79)
         scores = np.random.default_rng(79).uniform(0.0, 1.0, (len(pairs), 2)).tolist()
 
@@ -1357,6 +1471,13 @@ class TestNmsNearestFirstAndAreaCap:
         for boxes in (tame, wide):
             kept = assert_same_kept(boxes, thresh)
             assert len(kept) < len(boxes)
+        # and some of the wide set's: a margin of 1 turns the cap off
+        clips = count_clips(monkeypatch)
+        rotated_nms(wide, thresh)
+        capped, clips[0] = clips[0], 0
+        monkeypatch.setattr(geometry, "_BOUND_MARGIN", 1.0)
+        rotated_nms(wide, thresh)
+        assert capped < clips[0], (capped, clips[0])
 
 
 nms_scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)

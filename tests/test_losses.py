@@ -83,6 +83,17 @@ class TestFocalLoss:
         with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
             FocalParams(gamma=gamma)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_bool_str_or_none_params_rejected(self, value):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            FocalParams(alpha=value)
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            FocalParams(gamma=value)
+
+    def test_real_params_accepted(self):
+        assert FocalParams(np.float32(0.5), 2).gamma == 2
+        assert FocalParams(0.25, np.float64(0.0)).alpha == 0.25
+
 
 class TestSmoothL1:
     def test_values_and_grads(self):
