@@ -13,6 +13,8 @@ Alphabet files hold the blank marker, then one symbol per line.
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,9 +142,8 @@ def parse_predictions(path, ground_truth: bool = False) -> list[SpottingRecord]:
     return [SpottingRecord(image_id, tuple(items)) for image_id, items in grouped.items()]
 
 
-# _read_records reads and splits lines of about this many characters at a
-# time, so that few of a file's strings live at once
-_BLOCK_CHARS = 1 << 16
+_LOADTXT_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")  # loadtxt strips them, float() does not
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_records(path, ground_truth: bool):
@@ -150,75 +151,72 @@ def _read_records(path, ground_truth: bool):
 
     Returns (image ids, scores, has-score mask, boxes, transcripts): lists,
     except scores, an (N,) float64 array, and boxes, an (N, 5) float64 array
-    of canonical RotatedBox fields. A missing score reads 0.0. Lines are
-    only split here; the numbers are parsed and checked in bulk, and on any
-    failure the file is checked again line by line, so the ParseError is the
-    first bad line's.
+    of canonical RotatedBox fields. A missing score reads 0.0. One np.loadtxt
+    call reads the file and the columns are checked in bulk. The line reader
+    takes any file that loadtxt or a check rejects (a bad or whitespace-only
+    line, an empty prediction score, ``1_0``, non-ASCII digits), holds a byte
+    in \\x1c-\\x1f, or has ``://`` or a compression suffix in its path. So the
+    grammar is unchanged: numeric fields are Python ``float()`` literals, and
+    a bad file raises its first bad line's ParseError.
     """
-    ids, score_fields, texts, numbers = [], [], [], [np.zeros((5, 0))]
+    name = os.fsdecode(path)
+    with open(name, "rb") as f:
+        raw = f.read()
+    # loadtxt opens a str path with numpy's DataSource, which fetches URLs and
+    # decompresses files by their suffix
+    if "://" in name or name.endswith(_COMPRESSED) or any(c in raw for c in _LOADTXT_SPACES):
+        return _read_record_lines(path, ground_truth)
+    score = object if ground_truth else np.float64
+    dtype = [("id", object), ("score", score), ("box", np.float64, (5,)), ("text", object)]
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            while block := f.readlines(_BLOCK_CHARS):
-                lines = [line for line in block if line.count(",") == 7]
-                # a line of 8 fields holds 7 commas; any other line must be blank
-                if len(lines) < len(block) and any(
-                    line.strip() for line in block if line.count(",") != 7
-                ):
-                    raise ValueError("a line does not hold 8 fields")
-                if not lines:
-                    continue
-                fields = "".join(lines).rstrip("\n").replace("\n", ",").split(",")
-                ids += fields[0::8]
-                score_fields += fields[1::8]
-                texts += fields[7::8]
-                numbers.append(np.array([fields[k::8] for k in range(2, 7)], dtype=np.float64))
-        boxes = _checked_box_array(np.concatenate(numbers, axis=1).T, "boxes")
-        has_score = [s != "" for s in score_fields]
-        scores = np.zeros(len(ids))
-        scores[has_score] = np.array([s for s in score_fields if s], dtype=np.float64)
+        with warnings.catch_warnings():
+            # an empty or blank file is no data to loadtxt, and no rows here
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(name, delimiter=",", dtype=dtype, encoding="utf-8-sig",
+                              comments=None, quotechar=None, ndmin=1)
+        boxes = _checked_box_array(rows["box"], "boxes")
     except ValueError:  # a UnicodeDecodeError is one too
-        _raise_first_bad_record(path, ground_truth)
-    if (
-        "" in ids
-        or (ground_truth and any(has_score))
-        or not ((scores >= 0.0) & (scores <= 1.0)).all()
-    ):
-        _raise_first_bad_record(path, ground_truth)
-    return ids, scores, has_score, boxes, texts
+        return _read_record_lines(path, ground_truth)
+    ids = rows["id"].tolist()
+    scores = np.zeros(len(ids)) if ground_truth else rows["score"]
+    gt_scored = ground_truth and any(rows["score"].tolist())
+    if gt_scored or not all(ids) or not ((scores >= 0.0) & (scores <= 1.0)).all():
+        return _read_record_lines(path, ground_truth)
+    return ids, scores, [not ground_truth] * len(ids), boxes, rows["text"].tolist()
 
 
-def _raise_first_bad_record(path, ground_truth: bool):
-    """Check a record file line by line and raise the first bad line's ParseError."""
+def _read_record_lines(path, ground_truth: bool):
+    """_read_records' columns, read line by line; the first bad line raises its ParseError."""
+    ids, scores, boxes, texts = [], [], [], []
     for no, line in _text_lines(path):
         if not line.strip():
             continue
         fields = line.split(",")
+        where = {"path": str(path), "line": no}
         if len(fields) != 8:
-            raise ParseError(
-                f"expected 8 comma-separated fields, got {len(fields)}",
-                path=str(path),
-                line=no,
-            )
+            raise ParseError(f"expected 8 comma-separated fields, got {len(fields)}", **where)
         if not fields[0]:
-            raise ParseError("empty image_id", path=str(path), line=no)
+            raise ParseError("empty image_id", **where)
         if ground_truth and fields[1]:
-            raise ParseError(
-                f"ground-truth score field must be empty, got {fields[1]!r}",
-                path=str(path),
-                line=no,
-            )
+            raise ParseError(f"ground-truth score field must be empty, got {fields[1]!r}", **where)
         try:
             score = None if fields[1] == "" else float(fields[1])
             nums = [float(v) for v in fields[2:7]]
         except ValueError:
-            raise ParseError("non-numeric box field", path=str(path), line=no)
+            raise ParseError("non-numeric box field", **where)
         if score is not None and not 0.0 <= score <= 1.0:
-            raise ParseError(f"score {fields[1]!r} not in [0, 1]", path=str(path), line=no)
+            raise ParseError(f"score {fields[1]!r} not in [0, 1]", **where)
         try:
-            RotatedBox(nums[0], nums[1], nums[2], nums[3], nums[4])
+            RotatedBox(*nums)
         except ValueError as exc:
-            raise ParseError(f"invalid box: {exc}", path=str(path), line=no)
-    raise AssertionError(f"{path}: the bulk record check failed but no line does")
+            raise ParseError(f"invalid box: {exc}", **where)
+        ids.append(fields[0])
+        scores.append(score)
+        boxes.append(nums)
+        texts.append(fields[7])
+    has_score = [score is not None for score in scores]
+    values = np.array([0.0 if score is None else score for score in scores], dtype=np.float64)
+    return ids, values, has_score, _checked_box_array(boxes, "boxes"), texts
 
 
 BLANK_MARKER = "<b>"

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lpcore.dataio import (
 )
 from lpcore.errors import ParseError
 from lpcore.geometry import Quad, RotatedBox, quad_to_rbox
-from lpcore import spotting
+from lpcore import cli, dataio, spotting
 from lpcore.spotting import SpottingItem, SpottingRecord, aggregate, match_image
 
 
@@ -450,6 +451,13 @@ def _good_line(rng, scored):
     return ",".join([image_id, score, *(_field(rng, float(v)) for v in box), text])
 
 
+def _plain_score(line):
+    """A _good_line with an empty or 1_0e-1 score, which np.loadtxt rejects, made plain."""
+    fields = line.split(",")
+    fields[1] = {"": "0.5", "1_0e-1": "1.0e-1"}.get(fields[1], fields[1])
+    return ",".join(fields)
+
+
 def _record_file(rng, n_bad):
     scored = rng.random() < 0.6
     lines = [_good_line(rng, scored) for _ in range(int(rng.integers(0, 25)))]
@@ -464,6 +472,50 @@ def _record_file(rng, n_bad):
     newline = ["\n", "\r\n", "\r"][int(rng.integers(3))]
     text = newline.join(lines) + (newline if rng.random() < 0.7 else "")
     return ("\ufeff" if rng.random() < 0.3 else "") + text, kinds
+
+
+# record fields that np.loadtxt and the line reader read alike, and tokens to
+# put in their place that np.loadtxt reads otherwise than float() and
+# str.split: it strips \x1c-\x1f around a number (float() does not), rejects
+# underscores, non-ASCII digits and empty numbers, and must keep NULs, long
+# strings, quotes and comment marks whole
+_PLAIN = {
+    "id": ["img0", "img1", "京A"],
+    "score": ["0.5", "1", "0", "0.000001"],
+    "number": ["1", "2.5", "0.75", "4"],
+    "text": ["京A12345", "", "B"],
+}
+_TWISTS = {
+    "id": ["i\x00g", "\x00", "x" * 40, "京" * 33, '"img0"', "#"],
+    "score": ["", "\x1c0.5", "0.5\x1f", "0.5\x00", "０.５", "1e-5_0", "-0.0"],
+    "number": ["\x1c1", "1\x1d", "\x1e2.5", "2.5\x1f", "1\x00", "\x002", "１", "٣", "1e5_0", "",
+               "-0.0"],
+    "text": ["a\x00", "\x00", "y" * 40, "沪" * 33, "a\x1cb", '"B', "# B"],
+    "blank": [" ", "\t", "\x0c", "\x1f", " \x00 "],
+}
+
+
+@st.composite
+def divergent_files(draw):
+    """Record files of plain lines, lines with one twisted field and blank lines."""
+    scored = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["plain", "plain", *sorted(_TWISTS)]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(_TWISTS["blank"])))
+            continue
+        fields = [draw(st.sampled_from(_PLAIN["id"])),
+                  draw(st.sampled_from(_PLAIN["score"])) if scored else "",
+                  *(draw(st.sampled_from(_PLAIN["number"])) for _ in range(5)),
+                  draw(st.sampled_from(_PLAIN["text"]))]
+        if kind != "plain":
+            k = {"id": 0, "score": 1, "text": 7}.get(kind) or draw(st.integers(2, 6))
+            fields[k] = draw(st.sampled_from(_TWISTS[kind]))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
 
 
 def record_columns(path, ground_truth):
@@ -516,20 +568,32 @@ class TestColumnReaderEquivalence:
             "expected", "empty", "ground-truth", "non-numeric", "score", "invalid"
         }, messages
 
+    @pytest.mark.parametrize("loadtxt", [False, True])
     @pytest.mark.parametrize("bad", [None, "side", "fields"])
-    def test_equals_line_parser_across_read_blocks(self, tmp_path, bad):
-        # about 400 kB: the reader takes it in several blocks of lines
+    def test_equals_line_parser_on_a_large_file(self, tmp_path, monkeypatch, bad, loadtxt):
+        # about 400 kB. Its " " lines and its empty and 1_0e-1 scores send it
+        # to the line reader; with the lines left out and the scores made
+        # plain, np.loadtxt reads it unless a bad line is put in
         rng = np.random.default_rng(7)
         lines = [_good_line(rng, scored=True) for _ in range(5000)]
-        for k in range(0, 5000, 700):
-            lines.insert(k, " ")
+        if loadtxt:
+            lines = [_plain_score(line) for line in lines]
+        else:
+            for k in range(0, 5000, 700):
+                lines.insert(k, " ")
         if bad is not None:
             lines.insert(4321, _BAD_LINES[bad][0])
         path = tmp_path / "records.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line_reads = []
+        read_lines = dataio._read_record_lines
+        monkeypatch.setattr(
+            dataio, "_read_record_lines", lambda *a: line_reads.append(a) or read_lines(*a)
+        )
         want = parse_outcome(reference_parse_predictions, path, False)
         assert parse_outcome(parse_predictions, path, False) == want
         assert want[0] == ("records" if bad is None else "error")
+        assert bool(line_reads) == (not loadtxt or bad is not None)
         if bad is None:
             assert record_columns(path, False) == columns_of(want[1])
 
@@ -541,3 +605,80 @@ class TestColumnReaderEquivalence:
         for ground_truth in (False, True):
             want = parse_outcome(reference_parse_predictions, path, ground_truth)
             assert parse_outcome(parse_predictions, path, ground_truth) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=divergent_files())
+    @example(raw=b"im1,0.5,1.5\x1f,1,4,2,0,A\n")
+    @example(raw=b"im1,\x1c0.5,1,1,4,2,0,A\nim1,0.5,1,1,4,2,0,B")
+    @example(raw=b"im1,,1,1,4,2,0,A\r\nim1,0.5,1,1,4,2,0,B\r\n")
+    def test_equals_line_parser_where_loadtxt_differs(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "divergence.txt"
+        path.write_bytes(raw)
+        for ground_truth in (False, True):
+            want = parse_outcome(reference_parse_predictions, path, ground_truth)
+            assert parse_outcome(parse_predictions, path, ground_truth) == want
+            if want[0] == "records":
+                assert record_columns(path, ground_truth) == columns_of(want[1])
+            else:
+                with pytest.raises(ParseError) as err:
+                    _read_records(path, ground_truth)
+                got = (type(err.value), str(err.value), err.value.path, err.value.line)
+                assert ("error", *got) == want
+
+
+class TestColumnReaderFastPath:
+    """Well-formed files are read by np.loadtxt alone, never by the line reader."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_reader(self, monkeypatch):
+        def refuse(path, ground_truth):
+            raise AssertionError(f"{path} went to the line reader")
+
+        monkeypatch.setattr(dataio, "_read_record_lines", refuse)
+
+    @pytest.mark.parametrize("noise", [0.3, 80.0])
+    def test_synth_output(self, tmp_path, noise):
+        gt_path, pred_path = cli.cmd_synth(11, 200, noise, tmp_path)
+        for path, ground_truth in ((gt_path, True), (pred_path, False)):
+            ids, scores, has_score, boxes, texts = _read_records(path, ground_truth)
+            assert len(ids) == len(scores) == len(has_score) == len(boxes) == len(texts) > 200
+            assert has_score == [not ground_truth] * len(ids)
+
+    def test_eval_10k_shaped_files(self, tmp_path):
+        # the benchmark's layout: img%05d ids, six decimals, 1-3 plates an image
+        gts, preds = [], []
+        for i in range(2000):
+            gt, pred = synth_fixture(i, 1 + i % 3, 0.1)
+            gts.append(SpottingRecord(f"img{i:05d}", gt.items))
+            preds.append(SpottingRecord(f"img{i:05d}", pred.items))
+        for records, ground_truth in ((gts, True), (preds, False)):
+            path = tmp_path / f"records_{ground_truth}.txt"
+            write_predictions(path, records)
+            rows = sum(len(record.items) for record in records)
+            assert len(_read_records(path, ground_truth)[0]) == rows
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\ufeff", "\n\n", "\r\n\r\n", "\r"])
+    def test_empty_and_blank_files(self, tmp_path, text):
+        path = tmp_path / "records.txt"
+        path.write_bytes(text.encode())
+        for ground_truth in (False, True):
+            ids, scores, has_score, boxes, texts = _read_records(path, ground_truth)
+            assert (ids, has_score, texts) == ([], [], [])
+            assert scores.shape == (0,) and boxes.shape == (0, 5)
+
+
+@pytest.mark.parametrize("name", ["records.gz", "records.txt.xz", "http://localhost/records.txt"])
+def test_paths_numpy_would_open_otherwise_take_the_line_reader(tmp_path, monkeypatch, name):
+    # np.loadtxt would decompress these suffixes and fetch the URL
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    path = Path(name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(TestTextFiles.RECORDS, encoding="utf-8")
+    want = parse_outcome(reference_parse_predictions, name, False)
+    assert want[0] == "records"
+    assert parse_outcome(parse_predictions, name, False) == want
