@@ -366,12 +366,15 @@ class TestSynthFixture:
 
 
 def _reference_text_lines(path):
+    # the whole file is decoded before any line is read, so bytes that are
+    # not UTF-8 win over an earlier malformed line
     try:
         with open(path, encoding="utf-8-sig") as f:
-            for no, line in enumerate(f, start=1):
-                yield no, line.rstrip("\n")
+            lines = f.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+    for no, line in enumerate(lines, start=1):
+        yield no, line.rstrip("\n")
 
 
 def reference_parse_predictions(path, ground_truth=False):
@@ -605,6 +608,15 @@ class TestColumnReaderEquivalence:
         for ground_truth in (False, True):
             want = parse_outcome(reference_parse_predictions, path, ground_truth)
             assert parse_outcome(parse_predictions, path, ground_truth) == want
+
+    def test_equals_line_parser_on_a_bad_line_before_a_cut_utf8_sequence(self, tmp_path):
+        # a line of one field, then a lone UTF-8 lead byte at the end of the file
+        path = tmp_path / "records.txt"
+        path.write_bytes(b"\x00\r\x00\xc2")
+        for ground_truth in (False, True):
+            want = parse_outcome(reference_parse_predictions, path, ground_truth)
+            assert parse_outcome(parse_predictions, path, ground_truth) == want
+            assert want[2].endswith("not UTF-8 text: unexpected end of data")
 
     @settings(max_examples=300, deadline=None)
     @given(raw=divergent_files())
