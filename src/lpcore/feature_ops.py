@@ -126,16 +126,10 @@ def rroi_align(fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec()) -> 
 
 
 def roi_align(fm: FeatureMap, box: RotatedBox, spec: CropSpec = CropSpec()) -> FeatureMap:
-    """Axis-aligned crop: per-cell average of bilinear samples."""
+    """Axis-aligned crop: rroi_align of a box with theta == 0."""
     if box.theta != 0.0:
         raise ValueError(f"roi_align requires theta == 0, got {box.theta}")
-    r = spec.sampling_ratio
-    xs = box.cx - box.w / 2.0 + _subsample_fractions(spec.out_w, r) * box.w
-    ys = box.cy - box.h / 2.0 + _subsample_fractions(spec.out_h, r) * box.h
-    gx, gy = np.meshgrid(xs, ys)
-    samples = _bilinear_gather(fm.data, gx.ravel(), gy.ravel())
-    samples = samples.reshape(fm.channels, spec.out_h, r, spec.out_w, r)
-    return FeatureMap(samples.mean(axis=(2, 4)))
+    return rroi_align(fm, box, spec)
 
 
 def _conv_out_dims(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:

@@ -388,8 +388,9 @@ def _iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the bounds, a few float operations on the same lengths, by as little; the
 # inscribed rectangle divides by cos 2δ (δ the angle between the boxes), which
 # multiplies its rounding by at most 1 / _MIN_COS_2D. Pairs past either guard
-# are clipped. (The widest gap seen between a bound and the clip is 1.0e-15,
-# on 900k plate-like, thin (aspect up to 1e3) and nested pairs.)
+# are clipped. TestAgainstExactIou in tests/test_geometry.py checks that the
+# bounds bracket the exact IoU within the margin, on plate-like, thin (aspect
+# up to 1e3) and nested pairs.
 _BOUND_MARGIN = 1e-9
 _BOUND_ASPECT = 1e3
 _MIN_COS_2D = 0.1
@@ -407,6 +408,8 @@ def _iou_exceeds(a: np.ndarray, b: np.ndarray, thresh: float) -> np.ndarray:
         return _iou_pairs(a, b) > thresh
     out = np.full(len(a), 0.0 > thresh)
     live = np.flatnonzero(_near(a, b))
+    # float64 whatever the threshold's type: in float32 the margin rounds away
+    thresh = float(thresh)
     undecided = []
     for start in range(0, len(live), _PAIR_CHUNK):
         rows = live[start : start + _PAIR_CHUNK]

@@ -1,11 +1,12 @@
 """Independent brute-force references used by tests and `lpcore selfcheck`.
 
 Every function here recomputes a result by a method unrelated to the
-implementation it cross-checks: Monte-Carlo hit counting instead of
-polygon clipping, exhaustive path enumeration instead of the forward
-recursion, dense oversampling instead of fixed sub-grids, plain nested
-loops instead of vectorized convolution, and an angle sweep instead of
-rotating calipers.
+implementation it cross-checks: Monte-Carlo hit counting and exact
+rational clipping against general edges (`exact_iou`) instead of float
+clipping in one box's frame, exhaustive path enumeration instead of the
+forward recursion, dense oversampling instead of fixed sub-grids, plain
+nested loops instead of vectorized convolution, and an angle sweep
+instead of rotating calipers.
 """
 
 from __future__ import annotations
@@ -108,6 +109,46 @@ def monte_carlo_iou(
     inter = hits / samples * span_x * span_y
     union = a.area + b.area - inter
     return inter / union
+
+
+def exact_iou(a: RotatedBox, b: RotatedBox):
+    """The exact IoU of two boxes as a ``fractions.Fraction``.
+
+    Each box is the rectangle with corners at its centre plus
+    ``+-(w/2)(c, s) +- (h/2)(-s, c)``, where c and s are ``math.cos`` and
+    ``math.sin`` of its angle as floats; both are built in rationals,
+    relative to a's centre. b is clipped against a's four edges, in turn,
+    by the sign of a cross product, and the areas are the polygons' own.
+    There is no early-out, no argument swap and no area cap.
+    """
+    from fractions import Fraction  # only callers of this pay for the import
+
+    def corners(box: RotatedBox) -> list:
+        c, s = Fraction(math.cos(box.theta)), Fraction(math.sin(box.theta))
+        x, y = Fraction(box.cx) - Fraction(a.cx), Fraction(box.cy) - Fraction(a.cy)
+        hw, hh = Fraction(box.w) / 2, Fraction(box.h) / 2
+        return [(x + i * hw * c - j * hh * s, y + i * hw * s + j * hh * c)
+                for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+
+    def area(poly: list):
+        twice = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly, poly[1:] + poly[:1]))
+        return Fraction(abs(twice), 2)
+
+    clip = corners(a)
+    poly = subject = corners(b)
+    for (ex, ey), (fx, fy) in zip(clip, clip[1:] + clip[:1]):
+        side = [(fx - ex) * (py - ey) - (fy - ey) * (px - ex) for px, py in poly]
+        out = []
+        for k, (cur, d) in enumerate(zip(poly, side)):
+            prev, d_prev = poly[k - 1], side[k - 1]
+            if (d >= 0) != (d_prev >= 0):
+                t = d_prev / (d_prev - d)
+                out.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if d >= 0:
+                out.append(cur)
+        poly = out
+    inter = area(poly)
+    return inter / (area(clip) + area(subject) - inter)
 
 
 def _collapse(path: Sequence[int], blank: int = 0) -> tuple[int, ...]:

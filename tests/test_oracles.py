@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lpcore.oracles import (
     conv2d_naive,
     ctc_loss_brute_force,
     dense_rroi_align,
+    exact_iou,
     monte_carlo_iou,
     relative_error,
 )
@@ -223,6 +225,38 @@ class TestMonteCarloIou:
         finally:
             tracemalloc.stop()
         assert peak < 12_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestExactIou:
+    def test_exact_values(self):
+        unit = RotatedBox(0.5, 0.5, 1.0, 1.0, 0.0)
+        cases = [
+            (unit, unit, 1),
+            (unit, RotatedBox(1.0, 0.5, 1.0, 1.0, 0.0), Fraction(1, 3)),
+            (unit, RotatedBox(1.5, 0.5, 1.0, 1.0, 0.0), 0),  # a shared edge
+            (unit, RotatedBox(5.0, 5.0, 1.0, 1.0, 0.0), 0),
+            # nested at one angle: both boxes share its cos and sin, so the
+            # IoU is the ratio of w * h whatever their rounding
+            (RotatedBox(7.0, -3.0, 4.0, 2.0, 0.3), RotatedBox(7.0, -3.0, 3.0, 0.5, 0.3),
+             Fraction(3, 16)),
+        ]
+        for a, b, want in cases:
+            got = exact_iou(a, b)
+            assert type(got) is Fraction and got == want, (a, b)
+
+    def test_symmetric_and_translation_invariant_exactly(self):
+        # dyadic centres moved by 2^20: every coordinate stays exact
+        a, b = RotatedBox(0.5, 0.25, 3.0, 1.0, 0.3), RotatedBox(1.0, -0.5, 2.0, 2.0, -0.6)
+        want = exact_iou(a, b)
+        assert 0 < want < 1 and exact_iou(b, a) == want
+        a, b = (RotatedBox(r.cx + 2.0**20, r.cy - 2.0**20, r.w, r.h, r.theta) for r in (a, b))
+        assert exact_iou(a, b) == want
+
+    def test_agrees_with_monte_carlo(self):
+        rng = np.random.default_rng(5)
+        for a, b in iou_box_pairs(20, seed=3):
+            want = float(exact_iou(a, b))
+            assert abs(monte_carlo_iou(a, b, samples=200_000, rng=rng) - want) < 1e-2, (a, b)
 
 
 class TestDenseRroiAlign:

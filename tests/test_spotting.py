@@ -1,4 +1,5 @@
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -432,6 +433,27 @@ class TestColumnMatcherEquivalence:
         want = [(g.image_id, reference_match_image(g, p)) for g, p in zip(gts, preds)]
         assert got == want
         assert 100 < sum(c.tp for _, c in got) < sum(len(p.items) for p in preds)
+
+    def test_float32_threshold_acts_as_its_float64_value(self):
+        # one plate and one prediction nested in it at its angle per image,
+        # their area ratio within 40 ulp of the float32 threshold: the bounds
+        # meet at the ratio, so pairs at the threshold must go to the clip,
+        # which is compared with the threshold's value in float64
+        thresh = np.float32(0.6)
+        rng = np.random.default_rng(13)
+        gts, preds = [], []
+        for k in range(4096):
+            ratio = float(thresh) + int(rng.integers(-40, 41)) * math.ulp(float(thresh))
+            cx, cy = rng.uniform(0.0, 500.0, 2)
+            w, h, theta = rng.uniform(20.0, 100.0), rng.uniform(8.0, 25.0), rng.uniform(-0.7, 0.7)
+            plate = RotatedBox(cx, cy, w, h, theta)
+            guess = RotatedBox(cx, cy, w * ratio, h, theta)
+            gts.append(SpottingRecord(f"img{k:04d}", (SpottingItem(plate, "京A11111"),)))
+            preds.append(SpottingRecord(f"img{k:04d}", (SpottingItem(guess, "京A11111", 0.9),)))
+        got = match_records(gts, preds, thresh)
+        assert got == match_records(gts, preds, float(thresh))
+        want = [rotated_iou(g.items[0].box, p.items[0].box) > float(thresh) for g, p in zip(gts, preds)]
+        assert [c.tp for _, c in got] == want and 1000 < sum(want) < 3000
 
     def test_evaluate_equals_per_image_loop(self, tmp_path):
         gts, preds = random_images(np.random.default_rng(5), 300)
